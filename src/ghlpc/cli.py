@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dde as ddemod
-from .errors import GhlpcError, ModelError
+from .errors import DomainError, GhlpcError, ModelError
 from .ghode import make_ode_context, run_critical
 from .ghode_params import param_coeffs
 from .linode import refine_gh
@@ -74,6 +74,13 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n")
 
 
+def _guess_number(tok: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise ModelError(f"--gh-guess: {tok.strip()!r} is not a number") from None
+
+
 def _parse_gh_guess(text: str) -> dict:
     """Parse the x=v1,v2,...,alpha=a1,a2,omega=w guess grammar."""
     out: dict = {}
@@ -83,11 +90,17 @@ def _parse_gh_guess(text: str) -> dict:
         if "=" in tok:
             name, val = tok.split("=", 1)
             current = name.strip()
-            fields[current] = [float(val)]
-        elif current is not None:
-            fields[current].append(float(tok))
+            if current not in ("x", "alpha", "omega"):
+                raise ModelError(f"--gh-guess: unknown field {current!r}")
+            fields[current] = [_guess_number(val)]
+        elif current is None:
+            raise ModelError(f"--gh-guess: {tok.strip()!r} comes before x=, alpha= or omega=")
+        else:
+            fields[current].append(_guess_number(tok))
     if "alpha" not in fields or "omega" not in fields:
         raise ModelError("--gh-guess needs alpha=a1,a2 and omega=w (and x=... for ODEs)")
+    if len(fields["alpha"]) != 2 or len(fields["omega"]) != 1:
+        raise ModelError("--gh-guess needs two alpha values and one omega value")
     out["alpha"] = np.array(fields["alpha"], dtype=float)
     out["omega"] = float(fields["omega"][0])
     out["x"] = np.array(fields["x"], dtype=float) if "x" in fields else None
@@ -116,6 +129,8 @@ def _setup(cfg: RunConfig):
         a_g, w_g = cfg.gh_guess["alpha"], cfg.gh_guess["omega"]
         if cfg.gh_guess["x"] is not None:
             x_g = cfg.gh_guess["x"]
+    if len(x_g) != model.n:
+        raise ModelError(f"--gh-guess gives {len(x_g)} x values, the model has {model.n} states")
     backend = cfg.backend
     if model.is_dde:
         gh = ddemod.refine_gh_dde(model, a_g, w_g, x_guess=x_g,
@@ -170,14 +185,18 @@ def _eps_grid(cfg: RunConfig, default=None) -> np.ndarray | None:
     lo = 5e-3 if cfg.eps_min is None else cfg.eps_min
     hi = 0.3 if cfg.eps_max is None else cfg.eps_max
     n = 12 if cfg.eps_count is None else cfg.eps_count
+    if n < 1:
+        raise DomainError(f"--eps-count must be at least 1, got {n}")
+    if not 0.0 < lo <= hi:
+        raise DomainError(f"need 0 < eps-min <= eps-max, got {lo:g} and {hi:g}")
     return np.geomspace(lo, hi, n)
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    eps = _eps_grid(cfg, default=np.geomspace(5e-3, 0.3, 12))
     cs = _setup(cfg)
     cfg.out.mkdir(parents=True, exist_ok=True)
     orders = ["first", "higher"] if cfg.order == "both" else [cfg.order]
-    eps = _eps_grid(cfg, default=np.geomspace(5e-3, 0.3, 12))
     for order in orders:
         curve = predict(cs, eps, order=order, n_psi=cfg.n_psi)
         base = cfg.out / f"predictor_{order}"
@@ -201,9 +220,10 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    eps = _eps_grid(cfg, default=None)
     cs = _setup(cfg)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    rep = convergence_study(cs, _eps_grid(cfg, default=None), n_psi=cfg.n_psi)
+    rep = convergence_study(cs, eps, n_psi=cfg.n_psi)
     with open(cfg.out / "convergence.csv", "w", newline="") as fh:
         wtr = csv.writer(fh)
         wtr.writerow(["eps", "error_first", "error_higher", "converged"])
@@ -224,12 +244,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_residual(cfg: RunConfig) -> int:
+    eps = _eps_grid(cfg, default=np.geomspace(5e-3, 0.3, 12))
     cs = _setup(cfg)
     if cs.kind != "dde":
         raise ModelError("the residual command applies to DDE models")
     cfg.out.mkdir(parents=True, exist_ok=True)
     orders = ["first", "higher"] if cfg.order == "both" else [cfg.order]
-    eps = _eps_grid(cfg, default=np.geomspace(5e-3, 0.3, 12))
     rows = []
     psi = np.linspace(0.0, 2.0 * np.pi, cfg.n_psi, endpoint=False)
     from .predictor import beta_of_eps, k_of_beta, orbit_of_eps, period_of_eps

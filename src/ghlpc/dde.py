@@ -501,6 +501,7 @@ def refine_gh_dde(model: ModelDef, alpha_guess, omega_guess, x_guess=None,
             J[:, j] = (rp - r) / h
         step = np.linalg.solve(J, -r)
         lam_d = 1.0
+        rn = None
         while lam_d > 1e-3:
             try:
                 rn, ghn = objective(z + lam_d * step)
@@ -510,12 +511,18 @@ def refine_gh_dde(model: ModelDef, alpha_guess, omega_guess, x_guess=None,
             if np.linalg.norm(rn) < np.linalg.norm(r) or lam_d <= 1e-3:
                 break
             lam_d *= 0.5
+        if rn is None:
+            raise ConvergenceError(
+                f"DDE GH refinement: every line-search trial failed, residual "
+                f"{np.linalg.norm(r):.2e}"
+            )
         z = z + lam_d * step
         r, gh = rn, ghn
     else:
-        raise ConvergenceError(
-            f"DDE GH refinement stalled, residual {np.linalg.norm(r):.2e}"
-        )
+        if np.linalg.norm(r) >= tol:
+            raise ConvergenceError(
+                f"DDE GH refinement stalled, residual {np.linalg.norm(r):.2e}"
+            )
     gh.validate()
     return gh
 

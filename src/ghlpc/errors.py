@@ -33,6 +33,12 @@ class ModelSpecError(ModelError):
     """Structurally invalid model: wrong parameter count, bad delay, ..."""
 
 
+class DomainError(GhlpcError, ValueError):
+    """An input lies outside the range where the computation is defined:
+    an epsilon past the pole of the period expansion, an empty or reversed
+    epsilon grid."""
+
+
 class ResonanceError(GhlpcError):
     """A regular solve was requested at (or too close to) an eigenvalue."""
 

@@ -39,32 +39,26 @@ class JetSpace:
             raise CapabilityError(f"{n_dirs} directions exceed maximum {MAX_DIRS}")
         self.n_dirs = n_dirs
         self.degree = degree
-        self.multis = [
-            m
-            for m in itertools.product(range(degree + 1), repeat=n_dirs)
-            if sum(m) <= degree
-        ]
+        radix = degree + 1
+        # every multi-index with entries <= degree, in lexicographic order;
+        # int8 keeps the full grid small (entries and sums stay <= 56)
+        grid = np.indices((radix,) * n_dirs, dtype=np.int8).reshape(n_dirs, radix ** n_dirs)
+        multis = grid[:, grid.sum(axis=0, dtype=np.int8) <= degree].T.astype(np.int64)
+        self.multis = [tuple(m) for m in multis.tolist()]
         self.index = {m: k for k, m in enumerate(self.multis)}
         self.size = len(self.multis)
-        self.total_deg = np.array([sum(m) for m in self.multis])
-        self.factorial = np.array(
-            [math.prod(math.factorial(e) for e in m) for m in self.multis], dtype=float
+        self.total_deg = multis.sum(axis=1)
+        self.factorial = np.prod(
+            np.array([math.factorial(e) for e in range(radix)], dtype=float)[multis], axis=1
         )
-        self._build_mul_table()
-
-    def _build_mul_table(self):
-        I, J, K = [], [], []
-        for i, mi in enumerate(self.multis):
-            di = sum(mi)
-            for j, mj in enumerate(self.multis):
-                if di + sum(mj) > self.degree:
-                    continue
-                I.append(i)
-                J.append(j)
-                K.append(self.index[tuple(a + b for a, b in zip(mi, mj))])
-        self._mul_i = np.array(I)
-        self._mul_j = np.array(J)
-        self._mul_k = np.array(K)
+        # Lexicographic order is the order of the mixed-radix codes, and two
+        # multi-indices of total degree <= degree add without carry, so the
+        # product monomial of (i, j) is found by searching the sum of codes.
+        code = multis @ radix ** np.arange(n_dirs - 1, -1, -1)
+        self._mul_i, self._mul_j = np.nonzero(
+            self.total_deg[:, None] + self.total_deg[None, :] <= degree
+        )
+        self._mul_k = np.searchsorted(code, code[self._mul_i] + code[self._mul_j])
 
     def zero(self) -> "Jet":
         return Jet(self, np.zeros(self.size))

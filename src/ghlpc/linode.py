@@ -225,6 +225,7 @@ def refine_gh(model: ModelDef, x_guess, alpha_guess, omega_guess,
             J[:, j] = (rp - r) / h
         step = np.linalg.solve(J, -r)
         lam_d = 1.0
+        rn = None
         while lam_d > 1e-3:
             try:
                 rn, ghn = objective(alpha + lam_d * step)
@@ -234,6 +235,11 @@ def refine_gh(model: ModelDef, x_guess, alpha_guess, omega_guess,
             if np.linalg.norm(rn) < np.linalg.norm(r) or lam_d <= 1e-3:
                 break
             lam_d *= 0.5
+        if rn is None:
+            raise ConvergenceError(
+                f"GH refinement: every line-search trial failed, residual "
+                f"{np.linalg.norm(r):.2e}"
+            )
         alpha = alpha + lam_d * step
         r, gh = rn, ghn
     else:

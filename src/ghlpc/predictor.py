@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompleteCoefficientsError
+from .errors import DomainError, EvaluationError, IncompleteCoefficientsError
 from .ghode import CriticalCoeffs
 from .ghode_params import ParamCoeffs
 from .terms import required_h_indices
@@ -122,7 +122,7 @@ def period_of_eps(crit: CriticalCoeffs, pc: ParamCoeffs, eps: float,
             + crit.c2.imag
         ) * e2 * e2
     if denom <= 0.0:
-        raise ValueError(f"eps = {eps:g} too large: period denominator {denom:.3e}")
+        raise DomainError(f"eps = {eps:g} too large: period denominator {denom:.3e}")
     return 2.0 * math.pi / denom
 
 
@@ -177,7 +177,7 @@ def orbit_of_eps(cs: CoeffSet, eps: float, psi, beta=None,
             total += wgt * np.outer(w ** m * wb ** n, np.conj(H))
     imag_max = float(np.max(np.abs(total.imag))) if psi.size else 0.0
     if imag_max > 1e-10 * max(eps, 1e-6):
-        raise AssertionError(f"orbit not real: max imag {imag_max:.2e}")
+        raise EvaluationError(f"orbit not real: max imag {imag_max:.2e}")
     return cs.x0[None, :] + total.real
 
 

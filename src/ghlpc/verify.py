@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, EvaluationError
 from .modeldsl import (
@@ -35,6 +34,17 @@ from .predictor import CoeffSet, beta_of_eps, k_of_beta, orbit_of_eps, period_of
 INTEGRATE_RTOL = 1e-11
 INTEGRATE_ATOL = 1e-12
 NEWTON_TOL = 1e-9
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on first use.
+
+    Only verification integrates, so importing ``ghlpc`` (and running every
+    other command) does not pay for loading ``scipy.integrate``.
+    """
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 @dataclass
@@ -200,8 +210,9 @@ def correct_lpc(model: ModelDef, seed: LpcSeed, tol: float = NEWTON_TOL,
     deriv = _ShootingDerivatives(model)
     f_seed = rhs(section.x0, section.alpha)
     t_anchor = section.alpha_tangent
-    phiT, M0, _ = _flow(model, seed.x0, seed.alpha, seed.T, rtol)
-    wM, vM = np.linalg.eig(M0)
+    # the first residual evaluates this same flow, so it reuses it
+    seed_flow = _flow(model, seed.x0, seed.alpha, seed.T, rtol)
+    wM, vM = np.linalg.eig(seed_flow[1])
     v0 = np.real(vM[:, int(np.argmin(np.abs(wM - 1.0)))])
     v0 = v0 / np.linalg.norm(v0)
 
@@ -214,10 +225,10 @@ def correct_lpc(model: ModelDef, seed: LpcSeed, tol: float = NEWTON_TOL,
                 f"LPC correction left the basin (T = {T:.3g}, alpha = {alpha})"
             )
 
-    def residual(u):
+    def residual(u, flow=None):
         guard(u)
         x0, T, alpha, v = u[:n], u[n], u[n + 1:n + 3], u[n + 3:]
-        phiT, M, x_half = _flow(model, x0, alpha, T, rtol)
+        phiT, M, x_half = flow or _flow(model, x0, alpha, T, rtol)
         r = np.concatenate([
             phiT - x0,
             [f_seed @ (x0 - section.x0)],
@@ -253,7 +264,7 @@ def correct_lpc(model: ModelDef, seed: LpcSeed, tol: float = NEWTON_TOL,
         return r, J
 
     u = np.concatenate([seed.x0, [seed.T], seed.alpha, v0])
-    r, amp = residual(u)
+    r, amp = residual(u, seed_flow)
     res0 = np.linalg.norm(r)
     stagnant = 0
     its = 0

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import ghlpc
 from ghlpc.cli import main
 
 
@@ -70,3 +76,36 @@ def test_user_model_file_roundtrip(tmp_path):
     assert rc == 0
     data = json.loads((out / "coeffs.json").read_text())
     assert abs(data["l2"] - (-1.986494770740791)) < 1e-6
+
+
+@pytest.mark.parametrize("builtin, argv, message", [
+    ("bazykin-khibnik", ["--gh-guess", "x=0.26,0.45,alpha=0.26,abc,omega=0.35"],
+     "'abc' is not a number"),
+    ("bazykin-khibnik", ["--gh-guess", "9,alpha=0.26,0.13,omega=0.35"], "'9' comes before"),
+    ("bazykin-khibnik", ["--gh-guess", "alpha=0.26,0.13,omega=0.35,beta=1"], "unknown field"),
+    ("bazykin-khibnik", ["--gh-guess", "alpha=0.26,omega=0.35"], "two alpha values"),
+    ("bazykin-khibnik", ["--gh-guess", "x=0.26,0.45,0.9,alpha=0.26,0.13,omega=0.35"],
+     "3 x values"),
+    ("bazykin-khibnik", ["--eps-max", "5"], "too large"),
+    ("lorenz84", ["--eps-max", "5"], "orbit not real"),
+    ("bazykin-khibnik", ["--eps-count", "0"], "--eps-count"),
+    ("bazykin-khibnik", ["--eps-min", "0"], "eps-min"),
+    ("bazykin-khibnik", ["--eps-min", "0.3", "--eps-max", "0.1"], "eps-min"),
+])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, builtin, argv, message):
+    rc = main(["predict", "--builtin", builtin, *argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_import_does_not_load_scipy():
+    # only `verify` integrates; every other command starts without scipy
+    code = ("import sys, ghlpc; a = 'scipy' in sys.modules; import ghlpc.cli; "
+            "print(a, 'scipy' in sys.modules)")
+    src = str(Path(ghlpc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["False", "False"]

@@ -286,3 +286,52 @@ def test_resolvent_rhs_degree_capability(fhn_pack):
         bordered_inv_dde(fhn_pack.gh, np.ones(2), vecs, check=False)
     with pytest.raises(CapabilityError):
         ch.delta(lam, 5)
+
+
+class _LinearGH:
+    """Stand-in DDE GH point whose refinement objective is linear:
+    det Delta(i omega) = (alpha1 - 1) + i (omega - 2), so one Newton step
+    lands on the root (alpha1, omega) = (1, 2)."""
+
+    def __init__(self, model, alpha, omega, x_guess=None):
+        self.alpha0, self.omega0 = np.asarray(alpha, dtype=float), omega
+        self.char = self
+
+    def delta(self, z):
+        return np.array([[self.alpha0[0] - 1.0 + 1j * (z.imag - 2.0)]])
+
+    def validate(self):
+        pass
+
+
+def _linear_l1(model, gh, **kwargs):
+    return gh.alpha0[1] - 3.0
+
+
+def test_refine_gh_dde_converges_on_last_iteration(monkeypatch):
+    from ghlpc import dde
+
+    monkeypatch.setattr(dde, "gh_point_dde_at", _LinearGH)
+    monkeypatch.setattr(dde, "first_lyapunov_dde", _linear_l1)
+    gh = dde.refine_gh_dde(None, [0.5, 2.5], 1.5, maxit=1)
+    assert np.allclose([*gh.alpha0, gh.omega0], [1.0, 3.0, 2.0], atol=1e-12)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        dde.refine_gh_dde(None, [0.5, 2.5], 1.5, maxit=0)
+
+
+def test_refine_gh_dde_line_search_all_trials_fail(monkeypatch):
+    from ghlpc import dde
+
+    calls = []
+
+    def flaky(model, gh, **kwargs):
+        # the start point and the 3 Jacobian columns succeed, every trial fails
+        calls.append(1)
+        if len(calls) > 4:
+            raise ConvergenceError("injected")
+        return _linear_l1(model, gh)
+
+    monkeypatch.setattr(dde, "gh_point_dde_at", _LinearGH)
+    monkeypatch.setattr(dde, "first_lyapunov_dde", flaky)
+    with pytest.raises(ConvergenceError, match="every line-search trial failed"):
+        dde.refine_gh_dde(None, [0.5, 2.5], 1.5)

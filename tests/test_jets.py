@@ -1,10 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ghlpc.errors import CapabilityError
-from ghlpc.jets import FormEngine, MultilinearQuery, jet_space, multilinear, seed_jet
+from ghlpc.jets import (
+    MAX_DEGREE,
+    MAX_DIRS,
+    FormEngine,
+    JetSpace,
+    MultilinearQuery,
+    jet_space,
+    multilinear,
+    seed_jet,
+)
 
 
 def test_seed_quadratic_monomial():
@@ -25,6 +35,42 @@ def test_capability_errors():
         jet_space(2, 8)
     with pytest.raises(CapabilityError):
         jet_space(9, 3)
+
+
+def _loop_tables(n_dirs, degree):
+    """JetSpace tables by plain enumeration: every multi-index of total degree
+    <= degree in lexicographic order, and the product table in i-major order."""
+    multis = [m for m in itertools.product(range(degree + 1), repeat=n_dirs)
+              if sum(m) <= degree]
+    index = {m: k for k, m in enumerate(multis)}
+    mul = []
+    for i, mi in enumerate(multis):
+        for j, mj in enumerate(multis):
+            if sum(mi) + sum(mj) <= degree:
+                mul.append((i, j, index[tuple(a + b for a, b in zip(mi, mj))]))
+    mul = np.array(mul, dtype=np.int64).reshape(-1, 3)
+    return multis, index, {
+        "total_deg": np.array([sum(m) for m in multis]),
+        "factorial": np.array([math.prod(math.factorial(e) for e in m) for m in multis],
+                              dtype=float),
+        "_mul_i": mul[:, 0], "_mul_j": mul[:, 1], "_mul_k": mul[:, 2],
+    }
+
+
+def test_jet_space_tables_match_loop_reference():
+    # equal tables make np.add.at accumulate in the same order, so every jet
+    # product is bit-identical; the size cap covers every space the builtins build
+    for n_dirs in range(MAX_DIRS + 1):
+        for degree in range(MAX_DEGREE + 1):
+            if math.comb(n_dirs + degree, degree) > 462:
+                continue
+            sp = JetSpace(n_dirs, degree)
+            multis, index, arrays = _loop_tables(n_dirs, degree)
+            assert sp.multis == multis and sp.index == index
+            assert sp.size == len(multis)
+            for name, ref in arrays.items():
+                got = getattr(sp, name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (n_dirs, degree, name)
 
 
 def test_random_cubic_polynomial_exact(rng):

@@ -137,3 +137,26 @@ def test_eigenpair_ambiguity_errors():
     # pair far from the requested window
     with pytest.raises(AmbiguousEigenvalueError):
         hopf_eigenpair(np.array([[0.0, -9.0], [9.0, 0.0]]), 0.3)
+
+
+@pytest.mark.parametrize("fail_from", [3, 6])
+def test_refine_gh_line_search_all_trials_fail(monkeypatch, fail_from):
+    # from a 1 % guess each Newton step costs 3 Lyapunov evaluations before
+    # its line search: failing from call 3 hits the first step's trials,
+    # from call 6 the second step's, after one accepted step
+    from ghlpc import ghode
+
+    real = ghode.first_lyapunov
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > fail_from:
+            raise ConvergenceError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ghode, "first_lyapunov", flaky)
+    bm = builtin("bazykin-khibnik")
+    with pytest.raises(ConvergenceError, match="every line-search trial failed"):
+        refine_gh(bm.model, bm.x_guess, np.array([0.26, 0.13]) * 1.01, 0.35,
+                  backend="exact", exact_factory=bm.exact_factory)
