@@ -180,6 +180,9 @@ def cmd_coeffs(cfg: RunConfig) -> int:
 
 
 def _eps_grid(cfg: RunConfig, default=None) -> np.ndarray | None:
+    """The eps grid of the command; also rejects a bad sampling before refinement."""
+    if cfg.n_psi < 1:
+        raise DomainError(f"--n-psi must be at least 1, got {cfg.n_psi}")
     if cfg.eps_min is None and cfg.eps_max is None and cfg.eps_count is None:
         return default
     lo = 5e-3 if cfg.eps_min is None else cfg.eps_min

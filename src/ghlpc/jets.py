@@ -15,6 +15,7 @@ core stays real) and recombined linearly afterwards.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -168,6 +169,11 @@ class Jet:
         return self._coerce(other) * rec
 
     def __pow__(self, p):
+        if isinstance(p, Jet):
+            # a variable exponent: a ** b = exp(b log a)
+            if self.value <= 0.0:
+                raise EvaluationError("variable exponent of a non-positive base")
+            return (self._coerce(p) * self.log()).exp()
         if isinstance(p, int) or (isinstance(p, float) and p == int(p)):
             k = int(p)
             if k < 0:
@@ -185,6 +191,11 @@ class Jet:
         for k in range(1, self.space.degree + 1):
             coeffs.append(coeffs[-1] * (p - k + 1) / (k * u0))
         return self._compose(coeffs)
+
+    def __rpow__(self, base):
+        if base <= 0.0:
+            raise EvaluationError("variable exponent of a non-positive base")
+        return (self * math.log(base)).exp()
 
     def _compose(self, series: list[float]) -> "Jet":
         """Evaluate sum_k series[k]*(self - value)^k by Horner."""
@@ -392,12 +403,39 @@ class FormEngine:
         return result
 
 
+@functools.cache
+def _slot_table(n_slots: int, order: int):
+    """Every tuple of `order` slots in itertools.product order (int8 rows), the
+    id of each tuple's multiset (int16) and the multisets as slot-count tuples,
+    sorted."""
+    # np.indices runs the last slot fastest, as itertools.product does
+    slots = np.indices((n_slots,) * order, dtype=np.int8).reshape(order, n_slots ** order).T
+    radix = order + 1
+    code = np.zeros(len(slots), dtype=np.int32)
+    for k in range(n_slots):
+        code = code * radix + (slots == k).sum(axis=1, dtype=np.int8)
+    # np.unique would import numpy.ma, about 1 MB
+    seen = np.zeros(radix ** n_slots, dtype=bool)
+    seen[code] = True
+    ms_id = (np.cumsum(seen, dtype=np.int16) - 1)[code]
+    multisets = [tuple(c // radix ** (n_slots - 1 - k) % radix for k in range(n_slots))
+                 for c in np.flatnonzero(seen).tolist()]
+    slots.flags.writeable = ms_id.flags.writeable = False  # shared by every engine
+    return slots, ms_id, multisets
+
+
 class ExactFormEngine:
     """Multilinear forms from an exact partial-derivative closure.
 
     `partials(state_multi, param_multi)` returns the n_out-vector of mixed
     partial derivatives at the expansion point; state_multi has one entry per
     state slot, param_multi one per active parameter.
+
+    `form` gives the sum over all slot tuples, in itertools.product order, of
+    weight * partial, bit for bit as a loop of ``result += w * partial`` from
+    zero: terms whose weight or partial is zero add only a signed zero, so they
+    are dropped (unless a direction is not finite, where w * 0 is NaN), and
+    the remaining ones are summed by a sequential ``np.add.accumulate``.
     """
 
     def __init__(self, partials, n_state_slots: int, n_params: int, n_out: int):
@@ -406,6 +444,7 @@ class ExactFormEngine:
         self.n_params = n_params
         self.n_out = n_out
         self._cache: dict[tuple, np.ndarray] = {}
+        self._plans: dict[tuple, tuple] = {}
 
     def _partial(self, sm: tuple[int, ...], pm: tuple[int, ...]) -> np.ndarray:
         key = (sm, pm)
@@ -414,32 +453,51 @@ class ExactFormEngine:
             val = self._cache[key] = np.asarray(self.partials(sm, pm), dtype=float)
         return val
 
+    def _plan(self, r: int, s: int, dense: bool = False):
+        """The slot tuples that forms of order (r, s) sum over: the columns of
+        the state tuples that meet a nonzero partial (all of them if `dense`)
+        and of every param tuple, which (state, param) pairs have a nonzero
+        partial, and the partial of each pair."""
+        key = (r, s, dense)
+        plan = self._plans.get(key)
+        if plan is None:
+            s_slots, s_ms, sms = _slot_table(self.n_state_slots, r)
+            p_slots, p_ms, pms = _slot_table(self.n_params, s)
+            P = np.array([[self._partial(sm, pm) for pm in pms] for sm in sms])
+            nonzero = np.any(P != 0.0, axis=2) | dense
+            rows = np.flatnonzero(nonzero.any(axis=1)[s_ms])
+            ms = s_ms[rows, None]
+            plan = (tuple(s_slots[rows, i].astype(np.intp) for i in range(r)),
+                    tuple(p_slots[:, j].astype(np.intp) for j in range(s)),
+                    nonzero[ms, p_ms], P[ms, p_ms])
+            if not dense:
+                self._plans[key] = plan
+        return plan
+
     def form(self, state_dirs, param_dirs=()) -> np.ndarray:
-        r, s = len(state_dirs), len(param_dirs)
         sdirs = [np.asarray(u, dtype=complex) for u in state_dirs]
         pdirs = [np.asarray(v, dtype=complex) for v in param_dirs]
-        result = np.zeros(self.n_out, dtype=complex)
-        for sa in itertools.product(range(self.n_state_slots), repeat=r):
-            ws = 1.0 + 0j
-            for i, slot in enumerate(sa):
-                ws *= sdirs[i][slot]
-            if ws == 0.0:
-                continue
-            sm = [0] * self.n_state_slots
-            for slot in sa:
-                sm[slot] += 1
-            sm = tuple(sm)
-            for pa in itertools.product(range(self.n_params), repeat=s):
-                w = ws
-                for j, slot in enumerate(pa):
-                    w *= pdirs[j][slot]
-                if w == 0.0:
-                    continue
-                pm = [0] * self.n_params
-                for slot in pa:
-                    pm[slot] += 1
-                result += w * self._partial(sm, tuple(pm))
-        return result
+        dense = not all(np.isfinite(d).all() for d in sdirs + pdirs)
+        s_cols, p_cols, nonzero, P = self._plan(len(sdirs), len(pdirs), dense)
+        if not len(nonzero):
+            return np.zeros(self.n_out, dtype=complex)
+        # Weights multiply in split real arithmetic, state slots first, as the
+        # scalar complex product does; numpy's complex array product may fuse.
+        re, im = np.ones(len(nonzero)), np.zeros(len(nonzero))
+        for d, col in zip(sdirs, s_cols):
+            d = d[col]
+            re, im = re * d.real - im * d.imag, re * d.imag + im * d.real
+        live = nonzero & ((re != 0.0) | (im != 0.0))[:, None]
+        re, im = re[:, None], im[:, None]
+        for d, col in zip(pdirs, p_cols):
+            d = d[col]
+            re, im = re * d.real - im * d.imag, re * d.imag + im * d.real
+        live &= (re != 0.0) | (im != 0.0)
+        w = np.empty(np.count_nonzero(live), dtype=complex)
+        w.real, w.imag = re[live], im[live]
+        terms = np.zeros((len(w) + 1, self.n_out), dtype=complex)
+        np.multiply(w[:, None], P[live], out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1]
 
 
 def multilinear(eval_fn, x0, alpha0, query: MultilinearQuery, n_out: int | None = None):

@@ -92,10 +92,6 @@ def hopf_eigenpair(A: np.ndarray, omega_guess: float):
     return lam.imag, q, p
 
 
-def spectrum(A: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvals(A)
-
-
 def resolvent_solve(A: np.ndarray, sigma: complex, rhs: np.ndarray,
                     eigs: np.ndarray | None = None) -> np.ndarray:
     """(sigma*I - A)^(-1) rhs, refusing near-resonant shifts."""

@@ -10,6 +10,7 @@ derivative extraction.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -477,6 +478,28 @@ def _codegen(node) -> str:
     return f"({_codegen(node[1])} {op} {_codegen(node[2])})"
 
 
+_COMPILED: dict[tuple, object] = {}
+
+
+def _once_per_model(compile_fn):
+    """Compile once per distinct model: the generated code depends only on the
+    equations and the delay count.  The key holds the equations' repr, since
+    tuple equality does not tell a 0.0 constant from -0.0."""
+
+    @functools.wraps(compile_fn)
+    def cached(model: ModelDef, *args):
+        key = (compile_fn.__name__, repr(model.equations), model.n_delays, *args)
+        f = _COMPILED.get(key)
+        if f is None:
+            if len(_COMPILED) >= 256:
+                _COMPILED.clear()
+            f = _COMPILED[key] = compile_fn(model, *args)
+        return f
+
+    return cached
+
+
+@_once_per_model
 def compile_rhs(model: ModelDef):
     """Compile a fast numeric right-hand side.
 
@@ -495,6 +518,7 @@ def compile_rhs(model: ModelDef):
     return f
 
 
+@_once_per_model
 def compile_state_jacobian(model: ModelDef, delay_idx=None):
     """Compile x -> d f / d(state at the given delay slot), an (n, n) matrix."""
     rows = []
@@ -526,12 +550,14 @@ def _compile_array(model: ModelDef, exprs_flat, shape) -> object:
     return f
 
 
+@_once_per_model
 def compile_param_jacobian(model: ModelDef):
     """x -> d f / d alpha, an (n, 2) matrix (current-state slot only)."""
     exprs = [diff_param_expr(eq, a) for eq in model.equations for a in range(2)]
     return _compile_array(model, exprs, (model.n, 2))
 
 
+@_once_per_model
 def compile_state_hessian(model: ModelDef):
     """x -> d^2 f / dx^2, an (n, n, n) tensor (no delays)."""
     n = model.n
@@ -544,6 +570,7 @@ def compile_state_hessian(model: ModelDef):
     return _compile_array(model, exprs, (n, n, n))
 
 
+@_once_per_model
 def compile_mixed_hessian(model: ModelDef):
     """x -> d^2 f / dx dalpha, an (n, n, 2) tensor."""
     n = model.n

@@ -91,6 +91,8 @@ def test_user_model_file_roundtrip(tmp_path):
     ("bazykin-khibnik", ["--eps-count", "0"], "--eps-count"),
     ("bazykin-khibnik", ["--eps-min", "0"], "eps-min"),
     ("bazykin-khibnik", ["--eps-min", "0.3", "--eps-max", "0.1"], "eps-min"),
+    ("bazykin-khibnik", ["--n-psi", "0"], "--n-psi"),
+    ("bazykin-khibnik", ["--n-psi", "-4"], "--n-psi"),
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, builtin, argv, message):
     rc = main(["predict", "--builtin", builtin, *argv, "--out", str(tmp_path)])
@@ -98,6 +100,13 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, builtin, argv, 
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["verify", "residual"])
+def test_n_psi_below_one_exits_2_before_refinement(tmp_path, capsys, command):
+    rc = main([command, "--builtin", "fhn-dde", "--n-psi", "-1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == "error: --n-psi must be at least 1, got -1\n"
 
 
 def test_import_does_not_load_scipy():

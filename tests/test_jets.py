@@ -8,13 +8,16 @@ from ghlpc.errors import CapabilityError
 from ghlpc.jets import (
     MAX_DEGREE,
     MAX_DIRS,
+    ExactFormEngine,
     FormEngine,
     JetSpace,
     MultilinearQuery,
+    _slot_table,
     jet_space,
     multilinear,
     seed_jet,
 )
+from ghlpc.models import builtin, builtin_names
 
 
 def test_seed_quadratic_monomial():
@@ -283,3 +286,59 @@ def test_fd_oracle_third_order_mixed(rng):
                     x0 + (i * u + j * v) * h, a0 + k * h * w)
     fd /= h ** 3
     assert np.allclose(got, fd, rtol=1e-5, atol=1e-7)
+
+
+def _loop_form(engine, state_dirs, param_dirs):
+    """ExactFormEngine.form as a plain loop over every slot tuple."""
+    sdirs = [np.asarray(u, dtype=complex) for u in state_dirs]
+    pdirs = [np.asarray(v, dtype=complex) for v in param_dirs]
+    result = np.zeros(engine.n_out, dtype=complex)
+    for sa in itertools.product(range(engine.n_state_slots), repeat=len(sdirs)):
+        ws = 1.0 + 0j
+        for i, slot in enumerate(sa):
+            ws *= sdirs[i][slot]
+        if ws == 0.0:
+            continue
+        sm = tuple(sa.count(k) for k in range(engine.n_state_slots))
+        for pa in itertools.product(range(engine.n_params), repeat=len(pdirs)):
+            w = ws
+            for j, slot in enumerate(pa):
+                w *= pdirs[j][slot]
+            if w == 0.0:
+                continue
+            pm = tuple(pa.count(k) for k in range(engine.n_params))
+            result += w * engine._partial(sm, pm)
+    return result
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_exact_forms_bit_identical_to_loop(name, rng):
+    bm = builtin(name)
+    n_slots = bm.n_slots
+    engine = ExactFormEngine(bm.exact_factory(bm.x_guess, bm.alpha_guess),
+                             n_slots, 2, bm.model.n)
+
+    def direction(size, kind):
+        v = rng.normal(size=size) * 10.0 ** rng.uniform(-2, 2, size=size)
+        if kind == "complex":
+            v = v + 1j * rng.normal(size=size)
+        v[rng.random(size) < 0.3] = 0.0
+        return v if kind != "zero" else np.zeros(size)
+
+    for r in range(MAX_DEGREE + 1):
+        for s in range(MAX_DEGREE + 1 - r):
+            for kind in ("complex", "real", "zero"):
+                u = [direction(n_slots, kind) for _ in range(r)]
+                v = [direction(2, kind) for _ in range(s)]
+                got = engine.form(u, v)
+                ref = _loop_form(engine, u, v)
+                assert got.tobytes() == ref.tobytes(), (r, s, kind)
+
+
+def test_exact_form_slot_table_shape():
+    slots, ms_id, multisets = _slot_table(4, 7)
+    assert slots.shape == (4 ** 7, 7) and slots.dtype == np.int8
+    assert ms_id.dtype == np.int16 and len(multisets) == math.comb(10, 3) == 120
+    assert [tuple(t) for t in slots.tolist()] == list(itertools.product(range(4), repeat=7))
+    assert [multisets[k] for k in ms_id.tolist()] == [
+        tuple(t.count(k) for k in range(4)) for t in itertools.product(range(4), repeat=7)]

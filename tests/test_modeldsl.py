@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ghlpc.errors import ModelSpecError, ParseError, UnknownIdentifierError
+from ghlpc.errors import EvaluationError, ModelSpecError, ParseError, UnknownIdentifierError
 from ghlpc.jets import jet_space
 from ghlpc.modeldsl import (
+    _compile_array,
     compile_mixed_hessian,
     compile_param_jacobian,
     compile_rhs,
     compile_state_hessian,
     compile_state_jacobian,
+    diff_expr,
     eval_model,
     parse_model,
     print_model,
@@ -142,3 +144,33 @@ def test_tanh_in_grammar_and_power_vs_unary_minus():
     assert val == -4.0
     val = eval_model(m, [0.5], (), [3.0, 1.0])[0]
     assert abs(val - (-0.25 + 3 * math.tanh(0.5) + 1.0)) < 1e-14
+
+
+def test_variable_exponent_jets_match_compiled_derivatives():
+    # x^y and 2^x on the jets backend against derivatives from diff_expr
+    model = parse_model("state x y\nparam a b\ndx = x^y + a*b\ndy = 2^x - y\n")
+    x0, al = [1.3, 0.7], [0.2, 0.1]
+    sp = jet_space(2, 3)
+    xj = [sp.linear(x0[0], {0: 1.0}), sp.linear(x0[1], {1: 1.0})]
+    out = eval_model(model, xj, (), [sp.const(a) for a in al])
+    third = _compile_array(model, [
+        diff_expr(diff_expr(diff_expr(eq, i, None), j, None), k, None)
+        for eq in model.equations for i in range(2) for j in range(2) for k in range(2)
+    ], (2, 2, 2, 2))
+    derivs = {1: compile_state_jacobian(model, None)(x0, al),
+              2: compile_state_hessian(model)(x0, al), 3: third(x0, al)}
+    for e, jet in enumerate(out):
+        assert abs(jet.value - compile_rhs(model)(x0, al)[e]) < 1e-12
+        for k, multi in enumerate(sp.multis[1:], start=1):
+            slots = [d for d in range(2) for _ in range(multi[d])]
+            ref = derivs[len(slots)][(e, *slots)] / sp.factorial[k]
+            assert abs(jet.c[k] - ref) < 1e-12 * max(1.0, abs(ref)), (e, multi)
+
+
+def test_variable_exponent_of_non_positive_base_is_an_evaluation_error():
+    sp = jet_space(1, 2)
+    x = sp.linear(-0.5, {0: 1.0})
+    with pytest.raises(EvaluationError):
+        x ** (x + 2.0)
+    with pytest.raises(EvaluationError):
+        (-2.0) ** x
