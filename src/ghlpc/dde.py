@@ -40,7 +40,7 @@ from .errors import (
 from .jets import ExactFormEngine, FormEngine
 from .linode import FREDHOLM_RTOL, equilibrium
 from .modeldsl import ModelDef, compile_state_jacobian, eval_model
-from .terms import FORM_ORDERS
+from .terms import FORM_NAMES, FORM_ORDERS
 
 MAX_POLY_DEGREE = 4
 RATE_TOL = 1e-9
@@ -347,13 +347,7 @@ class DdeContext:
     def head(self, v):
         return v.at_zero() if isinstance(v, HistFn) else np.asarray(v, dtype=complex)
 
-    def resolve(self, key):
-        if not isinstance(key, str):
-            return key
-        if key == "e1":
-            return np.array([1.0, 0.0])
-        if key == "e2":
-            return np.array([0.0, 1.0])
+    def resolve(self, key: str):
         if key.startswith("~"):
             return self.conj(self.C[key[1:]])
         return self.C[key]
@@ -366,14 +360,10 @@ class DdeContext:
 
     # -- multilinear forms ------------------------------------------------------
     def form(self, name: str, *args) -> np.ndarray:
-        real_part = name.startswith("Re:")
-        if real_part:
-            name = name[3:]
         r, s = FORM_ORDERS[name]
         state_dirs = [self.state_vec(a) for a in args[:r]]
         param_dirs = [np.asarray(a, dtype=complex) for a in args[r:]]
-        val = self.engine.form(state_dirs, param_dirs)
-        return np.real(val) + 0j if real_part else val
+        return self.engine.form(state_dirs, param_dirs)
 
     def contract(self, term_list) -> np.ndarray:
         out = np.zeros(self.n, dtype=complex)
@@ -429,20 +419,11 @@ class DdeContext:
         return complex(self.p @ value)
 
 
-_FORM_BY_ORDER = {
-    (2, 0): "B", (3, 0): "C", (4, 0): "D", (5, 0): "E", (6, 0): "K6", (7, 0): "L7",
-    (1, 1): "A1", (2, 1): "B1", (3, 1): "C1", (4, 1): "D1", (5, 1): "E1",
-    (0, 1): "J1", (0, 2): "J2", (0, 3): "J3",
-    (1, 2): "A2", (2, 2): "B2", (3, 2): "C2",
-    (1, 3): "A3", (2, 3): "B3", (3, 3): "C3",
-}
-
-
 def dde_multilinear(model: ModelDef, gh: GHPointDDE, state_dirs, param_dirs=(),
                     backend: str = "jets", exact_factory=None) -> np.ndarray:
     """Mixed multilinear form with HistFn state directions (spec surface)."""
     ctx = DdeContext(model, gh, backend=backend, exact_factory=exact_factory)
-    name = _FORM_BY_ORDER.get((len(state_dirs), len(param_dirs)))
+    name = FORM_NAMES.get((len(state_dirs), len(param_dirs)))
     if name is None:
         raise CapabilityError("unsupported multilinear order")
     return ctx.form(name, *state_dirs, *param_dirs)
@@ -468,13 +449,10 @@ def gh_point_dde_at(model: ModelDef, alpha, omega0: float,
 
 def first_lyapunov_dde(model: ModelDef, gh: GHPointDDE, backend="jets",
                        exact_factory=None) -> float:
-    from . import terms as TT
-    ctx = DdeContext(model, gh, backend=backend, exact_factory=exact_factory)
-    C = ctx.C
-    C["H2000"] = ctx.reg_solve(2, ctx.contract(TT.H2000))
-    C["H1100"] = ctx.reg_solve(0, ctx.contract(TT.H1100))
-    c1 = 0.5 * ctx.proj(ctx.contract(TT.M2100))
-    return c1.real / ctx.omega0
+    c1, _ = ghode.cubic_stage(
+        DdeContext(model, gh, backend=backend, exact_factory=exact_factory)
+    )
+    return c1.real / gh.omega0
 
 
 def refine_gh_dde(model: ModelDef, alpha_guess, omega_guess, x_guess=None,

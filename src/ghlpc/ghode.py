@@ -2,9 +2,9 @@
 
 The homological equation is processed coefficient by coefficient in a fixed
 dependency order.  Every right-hand side is the sum of a multilinear part
-(a term list from :mod:`ghlpc.terms`) and corrections coming from the already
-known normal-form monomials.  The corrections are generated, not transcribed:
-for the target monomial w^N wbar^M b1^K b2^L, a known normal-form monomial
+(generated by :func:`ghlpc.terms.rhs_terms`) and corrections coming from the
+already known normal-form monomials.  The corrections are generated too: for
+the target monomial w^N wbar^M b1^K b2^L, a known normal-form monomial
 g * w^(a+1) wbar^a b1^j b2^k contributes
 
     (N!M!K!L! / n!m!k!l!) * (n*g + m*conj(g)) * H_{nmkl},
@@ -122,13 +122,7 @@ class OdeContext:
     def head(self, v):
         return np.asarray(v, dtype=complex)
 
-    def resolve(self, key):
-        if not isinstance(key, str):
-            return key
-        if key == "e1":
-            return np.array([1.0, 0.0])
-        if key == "e2":
-            return np.array([0.0, 1.0])
+    def resolve(self, key: str):
         if key.startswith("~"):
             return self.conj(self.C[key[1:]])
         return self.C[key]
@@ -138,14 +132,10 @@ class OdeContext:
 
     # -- multilinear forms ----------------------------------------------------
     def form(self, name: str, *args) -> np.ndarray:
-        real_part = name.startswith("Re:")
-        if real_part:
-            name = name[3:]
         r, s = T.FORM_ORDERS[name]
         state_dirs = [self.state_vec(a) for a in args[:r]]
         param_dirs = [np.asarray(a, dtype=complex) for a in args[r:]]
-        val = self.engine.form(state_dirs, param_dirs)
-        return np.real(val) + 0j if real_part else val
+        return self.engine.form(state_dirs, param_dirs)
 
     def contract(self, term_list) -> np.ndarray:
         out = np.zeros(self.n, dtype=complex)
@@ -222,66 +212,51 @@ class CriticalCoeffs:
         return self.c3.real
 
 
-_CRITICAL_SCHEDULE = (
-    # key, solve-rate multiple, term list ("sing" marks bordered solves)
-    ("H3000", 3, T.H3000),
-    ("H3100", 2, T.H3100),
-    ("H2200", 0, T.H2200),
-)
+def solve_regular(ctx, idx):
+    """Solve and store the non-singular equation of H_idx (rate n - m)."""
+    n, m = idx[:2]
+    val = ctx.reg_solve(n - m, ctx.contract(T.rhs_terms(idx)), g_jterms(ctx, *idx))
+    ctx.C[hkey(*idx)] = val
+    return val
+
+
+def cubic_stage(ctx):
+    """Solve H2000 and H1100; return c1 and the right-hand side of w^2 wbar."""
+    for n, m in T.CRITICAL[:2]:
+        solve_regular(ctx, (n, m, 0, 0))
+    M21 = ctx.contract(T.rhs_terms((2, 1, 0, 0)))
+    return 0.5 * ctx.proj(M21), M21
 
 
 def run_critical(ctx, degeneracy_check: bool = True) -> CriticalCoeffs:
     """Fill the context store with c1..c3 and every H_{nm00}, 2 <= n+m <= 7."""
     C = ctx.C
-    C["H2000"] = ctx.reg_solve(2, ctx.contract(T.H2000))
-    C["H1100"] = ctx.reg_solve(0, ctx.contract(T.H1100))
-    M21 = ctx.contract(T.M2100)
-    c1 = 0.5 * ctx.proj(M21)
-    C["c1"] = c1
-    set_gamma(ctx, 1, "00", c1)
-    if abs(c1.real) > IDENTITY_TOL * max(1.0, abs(c1)):
-        warnings.warn(
-            f"Re c1 = {c1.real:.2e}: point is away from the Hopf curve",
-            stacklevel=2,
-        )
-    C["H2100"] = ctx.sing_solve(M21, g_jterms(ctx, 2, 1, 0, 0))
-    for key, rate, tl in _CRITICAL_SCHEDULE:
-        N, M_ = int(key[1]), int(key[2])
-        C[key] = ctx.reg_solve(rate, ctx.contract(tl), g_jterms(ctx, N, M_, 0, 0))
-    M32 = ctx.contract(T.M3200)
-    c2 = ctx.proj(M32) / 12.0
-    C["c2"] = c2
-    set_gamma(ctx, 2, "00", c2)
-    if degeneracy_check and abs(c2.real) < 1e-8 * ctx.omega0:
-        warnings.warn(
-            f"|Re c2| = {abs(c2.real):.2e}: generalized Hopf point is degenerate",
-            DegenerateGHWarning,
-            stacklevel=2,
-        )
-    C["H3200"] = ctx.sing_solve(M32, g_jterms(ctx, 3, 2, 0, 0))
-    for key, rate, tl in (
-        ("H4000", 4, T.H4000),
-        ("H4100", 3, T.H4100),
-        ("H4200", 2, T.H4200),
-        ("H3300", 0, T.H3300),
-    ):
-        N, M_ = int(key[1]), int(key[2])
-        C[key] = ctx.reg_solve(rate, ctx.contract(tl), g_jterms(ctx, N, M_, 0, 0))
-    M43 = ctx.contract(T.M4300)
-    c3 = ctx.proj(M43) / 144.0
-    C["c3"] = c3
-    set_gamma(ctx, 3, "00", c3)
-    C["H4300"] = ctx.sing_solve(M43, g_jterms(ctx, 4, 3, 0, 0))
-    for key, rate, tl in (
-        ("H5000", 5, T.H5000),
-        ("H6000", 6, T.H6000),
-        ("H5100", 4, T.H5100),
-        ("H7000", 7, T.H7000),
-        ("H6100", 5, T.H6100),
-        ("H5200", 3, T.H5200),
-    ):
-        N, M_ = int(key[1]), int(key[2])
-        C[key] = ctx.reg_solve(rate, ctx.contract(tl), g_jterms(ctx, N, M_, 0, 0))
+    c1, M21 = cubic_stage(ctx)
+    for n, m in T.CRITICAL[2:]:
+        idx = (n, m, 0, 0)
+        if n - m != 1:
+            solve_regular(ctx, idx)
+            continue
+        # c_m from the w^(m+1) wbar^m equation
+        if m == 1:
+            c, M = c1, M21
+        else:
+            M = ctx.contract(T.rhs_terms(idx))
+            c = ctx.proj(M) / (math.factorial(n) * math.factorial(m))
+        C[f"c{m}"] = c
+        set_gamma(ctx, m, "00", c)
+        if m == 1 and abs(c.real) > IDENTITY_TOL * max(1.0, abs(c)):
+            warnings.warn(
+                f"Re c1 = {c.real:.2e}: point is away from the Hopf curve",
+                stacklevel=2,
+            )
+        if m == 2 and degeneracy_check and abs(c.real) < 1e-8 * ctx.omega0:
+            warnings.warn(
+                f"|Re c2| = {abs(c.real):.2e}: generalized Hopf point is degenerate",
+                DegenerateGHWarning,
+                stacklevel=2,
+            )
+        C[hkey(*idx)] = ctx.sing_solve(M, g_jterms(ctx, *idx))
     H = {
         (n, m): C[f"H{n}{m}00"]
         for tot in range(2, 8)
@@ -289,7 +264,7 @@ def run_critical(ctx, degeneracy_check: bool = True) -> CriticalCoeffs:
         for m in (tot - n,)
     }
     return CriticalCoeffs(
-        omega0=ctx.omega0, c1=c1, c2=c2, c3=c3, H=H,
+        omega0=ctx.omega0, c1=C["c1"], c2=C["c2"], c3=C["c3"], H=H,
         checks={"fredholm": list(ctx.fredholm_residuals)},
     )
 
@@ -309,9 +284,5 @@ def critical_coeffs(model: ModelDef, gh: GHPointODE, backend: str = "jets",
 def first_lyapunov(model: ModelDef, gh: GHPointODE, backend: str = "jets",
                    exact_factory=None) -> float:
     """l1 = Re c1(0) / omega0, computing only the cubic stage."""
-    ctx = make_ode_context(model, gh, backend, exact_factory)
-    C = ctx.C
-    C["H2000"] = ctx.reg_solve(2, ctx.contract(T.H2000))
-    C["H1100"] = ctx.reg_solve(0, ctx.contract(T.H1100))
-    c1 = 0.5 * ctx.proj(ctx.contract(T.M2100))
-    return c1.real / ctx.omega0
+    c1, _ = cubic_stage(make_ode_context(model, gh, backend, exact_factory))
+    return c1.real / gh.omega0

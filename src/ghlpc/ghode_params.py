@@ -7,7 +7,8 @@ the w*beta^mu equation (row 1) and of the w^2 wbar w*beta^mu equation (row 2).
 Row 1 is assembled from Gamma_i(q) directly; row 2 is obtained by evaluating
 the full Fredholm functional at gamma = (0,0), (1,0), (0,1) and differencing,
 which reproduces the closed-form 2x2 system exactly (the functional is affine
-in gamma) without transcribing its expanded form.  The same machinery runs
+in gamma) without writing its expanded form out.  Every right-hand side is
+generated by :func:`ghlpc.terms.rhs_terms`.  The same machinery runs
 unchanged on the DDE context.
 
 Intermediate solves during the gamma probing use the unchecked (termwise)
@@ -22,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import terms as T
 from .errors import TransversalityError
-from .ghode import CriticalCoeffs, g_jterms, set_gamma
-from .terms import GREY_HELPERS, required_h_indices
+from .ghode import CriticalCoeffs, g_jterms, hkey, set_gamma, solve_regular
+from .terms import GREY_HELPERS, required_h_indices, rhs_terms
 
 CONSISTENCY_TOL = 1e-7
 P_COND_LIMIT = 1e8
@@ -66,12 +66,6 @@ class _StagePieces:
         self.pGamma = [ctx.proj(g) for g in self.Gamma]
 
 
-def _contract_or_zero(ctx, tl):
-    if not tl:
-        return np.zeros(ctx.n, dtype=complex)
-    return ctx.contract(tl)
-
-
 def _stage(ctx, mu: str, pieces: _StagePieces, pc: ParamCoeffs,
            solve_h21: bool) -> None:
     C = ctx.C
@@ -79,75 +73,48 @@ def _stage(ctx, mu: str, pieces: _StagePieces, pc: ParamCoeffs,
     d01 = 1.0 if mu == "01" else 0.0
     kmu, lmu = int(mu[0]), int(mu[1])
     wmu = math.factorial(kmu) * math.factorial(lmu)
-    tabs = T.STAGE_M.get(mu, {})
-    expl = T.explicit_stage_terms(mu)
-    M00v = _contract_or_zero(ctx, tabs.get("M00", ()))
-    M10v = _contract_or_zero(ctx, tabs.get("M10", ()))
-    M20v = _contract_or_zero(ctx, tabs.get("M20", ()))
-    M11v = _contract_or_zero(ctx, tabs.get("M11", ()))
-    M21v = _contract_or_zero(ctx, tabs.get("M21", ()))
-    v00c = ctx.reg_solve(0, M00v)
+    # Every term holds at most one of the stage's unknowns (they carry the
+    # whole beta degree); the terms without one are contracted once, the
+    # others again for every probe of K_mu.
+    solved = ((0, 0), (1, 0), (2, 0), (1, 1))
+    unknown = {f"K{mu}"} | {hkey(n, m, kmu, lmu) for n, m in solved}
+    fixed, live = {}, {}
+    for n, m in solved + ((2, 1),):
+        terms = rhs_terms((n, m, kmu, lmu))
+        has = [any(key.lstrip("~") in unknown for key in t[2:]) for t in terms]
+        fixed[n, m] = ctx.contract([t for t, h in zip(terms, has) if not h])
+        live[n, m] = [t for t, h in zip(terms, has) if h]
+    v00c = ctx.reg_solve(0, fixed[0, 0])
     q = C["q"]
-    Mt10 = M10v + ctx.form("B", q, v00c)
+    Mt10 = fixed[1, 0] + ctx.form("B", q, v00c)
     pMt10 = ctx.proj(Mt10)
 
+    def rhs_of(n, m):
+        return ctx.contract(live[n, m]) + fixed[n, m]
+
     def assemble(g1: float, g2: float, final: bool):
-        K = g1 * pieces.e[0] + g2 * pieces.e[1]
+        """Solve the stage at K_mu = (g1, g2), leaving the values in the store."""
+        C[f"K{mu}"] = g1 * pieces.e[0] + g2 * pieces.e[1]
         b1 = (
             g1 * pieces.pGamma[0].imag
             + g2 * pieces.pGamma[1].imag
             + pMt10.imag
         )
-        H00 = g1 * pieces.S[0] + g2 * pieces.S[1] + v00c
+        C[hkey(0, 0, kmu, lmu)] = g1 * pieces.S[0] + g2 * pieces.S[1] + v00c
         extra = None
         if final:
             set_gamma(ctx, 0, mu, d10 + 1j * b1)
         else:
             extra = {(0, kmu, lmu): (d10 + 1j * b1) / wmu}
-        rhs10 = ctx.form("A1", q, K) + ctx.form("B", q, H00) + M10v
-        H10 = ctx.sing_solve(
-            rhs10, g_jterms(ctx, 1, 0, kmu, lmu, extra), check=final
+        C[hkey(1, 0, kmu, lmu)] = ctx.sing_solve(
+            rhs_of(1, 0), g_jterms(ctx, 1, 0, kmu, lmu, extra), check=final
         )
-        rhs20 = (
-            ctx.form("A1", C["H2000"], K)
-            + 2 * ctx.form("B", q, H10)
-            + ctx.form("B", H00, C["H2000"])
-            + ctx.form("B1", q, q, K)
-            + ctx.form("C", q, q, H00)
-            + M20v
-        )
-        H20 = ctx.reg_solve(2, rhs20, g_jterms(ctx, 2, 0, kmu, lmu, extra))
-        qb = ctx.conj(q)
-        rhs11 = (
-            ctx.form("A1", C["H1100"], K)
-            + 2 * np.real(ctx.form("B", qb, H10))
-            + ctx.form("B", H00, C["H1100"])
-            + ctx.form("B1", q, qb, K)
-            + ctx.form("C", q, qb, H00)
-            + M11v
-        )
-        H11 = ctx.reg_solve(0, rhs11, g_jterms(ctx, 1, 1, kmu, lmu, extra))
-        H10b = ctx.conj(H10)
-        rhs21 = (
-            ctx.form("A1", C["H2100"], K)
-            + 2 * ctx.form("B", q, H11)
-            + ctx.form("B", qb, H20)
-            + ctx.form("B", H00, C["H2100"])
-            + ctx.form("B", H10b, C["H2000"])
-            + 2 * ctx.form("B", H10, C["H1100"])
-            + 2 * ctx.form("B1", q, C["H1100"], K)
-            + ctx.form("B1", qb, C["H2000"], K)
-            + ctx.form("C", q, q, H10b)
-            + 2 * ctx.form("C", q, qb, H10)
-            + 2 * ctx.form("C", q, H00, C["H1100"])
-            + ctx.form("C", qb, H00, C["H2000"])
-            + ctx.form("C1", q, q, qb, K)
-            + ctx.form("D", q, q, qb, H00)
-            + M21v
-        )
-        f = 0.5 * ctx.proj(rhs21)
-        return dict(K=K, b1=b1, H00=H00, H10=H10, H20=H20, H11=H11,
-                    f=f, rhs21=rhs21)
+        for n, m in ((2, 0), (1, 1)):
+            C[hkey(n, m, kmu, lmu)] = ctx.reg_solve(
+                n - m, rhs_of(n, m), g_jterms(ctx, n, m, kmu, lmu, extra)
+            )
+        rhs21 = rhs_of(2, 1)
+        return dict(b1=b1, f=0.5 * ctx.proj(rhs21), rhs21=rhs21)
 
     probes = [assemble(*g, final=False) for g in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
     f0 = probes[0]["f"]
@@ -175,18 +142,13 @@ def _stage(ctx, mu: str, pieces: _StagePieces, pc: ParamCoeffs,
         )
     pc.P_by_stage[mu] = P
     pc.gamma[mu] = gam
-    pc.K[mu] = fin["K"]
+    pc.K[mu] = C[f"K{mu}"]
     pc.b1[mu] = fin["b1"]
     pc.b2[mu] = b2
-    C[f"K{mu}"] = fin["K"]
     exposed = required_h_indices() | GREY_HELPERS
-    for nm, val in (("00", fin["H00"]), ("10", fin["H10"]),
-                    ("20", fin["H20"]), ("11", fin["H11"])):
-        key = f"H{nm}{mu}"
-        C[key] = val
-        idx = (int(nm[0]), int(nm[1]), kmu, lmu)
-        if idx in exposed:
-            pc.Hp[idx] = val
+    for n, m in solved:
+        if (n, m, kmu, lmu) in exposed:
+            pc.Hp[n, m, kmu, lmu] = C[hkey(n, m, kmu, lmu)]
     if solve_h21:
         H21 = ctx.sing_solve(fin["rhs21"], g_jterms(ctx, 2, 1, kmu, lmu))
         C[f"H21{mu}"] = H21
@@ -207,20 +169,14 @@ def linear_param_coeffs(ctx, crit: CriticalCoeffs) -> ParamCoeffs:
 
 def a3201_coeff(ctx, crit: CriticalCoeffs, pc: ParamCoeffs) -> ParamCoeffs:
     """g3201 (whose real part is a3201) plus H3001, H3101, H2201, H3201."""
-    C = ctx.C
-    for key, rate, tl, idx in (
-        ("H3001", 3, T.M3001, (3, 0, 0, 1)),
-        ("H3101", 2, T.M3101, (3, 1, 0, 1)),
-        ("H2201", 0, T.M2201, (2, 2, 0, 1)),
-    ):
-        C[key] = ctx.reg_solve(rate, ctx.contract(tl), g_jterms(ctx, *idx))
-        pc.Hp[idx] = C[key]
-    M32 = ctx.contract(T.M3201)
+    for idx in ((3, 0, 0, 1), (3, 1, 0, 1), (2, 2, 0, 1)):
+        pc.Hp[idx] = solve_regular(ctx, idx)
+    M32 = ctx.contract(rhs_terms((3, 2, 0, 1)))
     g3201 = ctx.proj(M32) / 12.0
     pc.g3201 = g3201
     set_gamma(ctx, 2, "01", g3201)
-    C["H3201"] = ctx.sing_solve(M32, g_jterms(ctx, 3, 2, 0, 1))
-    pc.Hp[(3, 2, 0, 1)] = C["H3201"]
+    ctx.C["H3201"] = ctx.sing_solve(M32, g_jterms(ctx, 3, 2, 0, 1))
+    pc.Hp[(3, 2, 0, 1)] = ctx.C["H3201"]
     return pc
 
 
@@ -230,16 +186,8 @@ def higher_param_coeffs(ctx, crit: CriticalCoeffs, pc: ParamCoeffs) -> ParamCoef
     _stage(ctx, "02", pieces, pc, solve_h21=True)
     _stage(ctx, "11", pieces, pc, solve_h21=False)
     _stage(ctx, "03", pieces, pc, solve_h21=False)
-    C = ctx.C
-    for key, rate, tl, idx in (
-        ("H3010", 3, T.H3010, (3, 0, 1, 0)),
-        ("H4001", 4, T.H4001, (4, 0, 0, 1)),
-        ("H5001", 5, T.H5001, (5, 0, 0, 1)),
-        ("H4101", 3, T.H4101, (4, 1, 0, 1)),
-        ("H3002", 3, T.H3002, (3, 0, 0, 2)),
-    ):
-        C[key] = ctx.reg_solve(rate, ctx.contract(tl), g_jterms(ctx, *idx))
-        pc.Hp[idx] = C[key]
+    for idx in ((3, 0, 1, 0), (4, 0, 0, 1), (5, 0, 0, 1), (4, 1, 0, 1), (3, 0, 0, 2)):
+        pc.Hp[idx] = solve_regular(ctx, idx)
     del pc.checks["pieces"]
     return pc
 

@@ -581,10 +581,3 @@ def compile_mixed_hessian(model: ModelDef):
         for a in range(2)
     ]
     return _compile_array(model, exprs, (n, n, 2))
-
-
-def equilibrium_residual(model: ModelDef, x, alpha):
-    """F(x, alpha) with constant history for DDE models."""
-    x = list(x)
-    xd = [x] * model.n_delays
-    return np.array(eval_model(model, x, xd, list(alpha)), dtype=float)

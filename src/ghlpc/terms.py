@@ -1,21 +1,31 @@
-"""Data-driven term lists for the normal-form coefficient computation.
+"""Generated right-hand sides of the homological equation.
 
-Every right-hand side assembled during the center-manifold reduction is a
-linear combination of multilinear forms applied to previously computed
-coefficients.  Those combinations are transcribed here as plain data
-(coefficient, form name, argument keys) and consumed by one generic
-contraction engine, so the tables stay auditable and a single transcription
-error shows up as a failed homological-residual slope rather than a silently
-wrong predictor.
+Substituting x = x0 + H(w, wbar, beta) and alpha = alpha0 + K(beta) into the
+vector field and collecting the coefficient of
+w^N wbar^M beta1^K beta2^L / (N! M! K! L!) gives, by the multivariate Faa di
+Bruno formula, one term for every multiset of already known factors whose
+indices add up to the target T = (N, M, K, L):
 
-Argument keys name entries of the coefficient store: 'q' is the critical
-eigenvector (eigenfunction for DDEs), 'H2100' etc. are center-manifold
-coefficients, '~X' is the complex conjugate of X, 'K01' a parameter-map
-vector, 'e1'/'e2' the parameter basis.  A form prefixed 'Re:' contributes
-only its real part.
+    T! / (prod multiplicity! * prod n! m! k! l!) * D^{r,s}F[H...; K...].
+
+The r state factors are center-manifold coefficients H_{nmkl} (the
+eigenvector q is H_{1000}, and H_{mnkl} = conj(H_{nmkl})); the s parameter
+factors are parameter-map vectors K_{kl}, indexed (0, 0, k, l).  The
+target's own linear term A H_T is left to the solve.
+
+`rhs_terms` returns these terms as (coefficient, form name, argument keys)
+for a context's ``contract``.  Argument keys name entries of the coefficient
+store: 'q' is the critical eigenvector (eigenfunction for DDEs), 'H2100' etc.
+are center-manifold coefficients, '~X' is the complex conjugate of X and
+'K01' a parameter-map vector.  A factor is known when it comes before the
+target in `SCHEDULE`; a known factor missing from the store makes the
+contraction raise instead of dropping the term.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 # state-order r, parameter-order s per form name (K6/L7 are the 6- and
 # 7-linear state derivatives, suffixed to keep them apart from the
@@ -42,1082 +52,108 @@ FORM_ORDERS = {
     "B3": (2, 3),
     "C3": (3, 3),
 }
+FORM_NAMES = {rs: name for name, rs in FORM_ORDERS.items()}
 
-# --- critical (parameter-independent) right-hand sides ----------------------
-
-H2000 = ((1, "B", "q", "q"),)
-
-H1100 = ((1, "B", "q", "~q"),)
-
-M2100 = (
-    (2, "B", "q", "H1100"),
-    (1, "B", "~q", "H2000"),
-    (1, "C", "q", "q", "~q"),
+# critical coefficients H_{nm00} in the order they are solved; n = m + 1
+# marks the singular equations that fix c1, c2 and c3
+CRITICAL = (
+    (2, 0), (1, 1), (2, 1), (3, 0), (3, 1), (2, 2), (3, 2), (4, 0), (4, 1),
+    (4, 2), (3, 3), (4, 3), (5, 0), (6, 0), (5, 1), (7, 0), (6, 1), (5, 2),
 )
 
-H3000 = (
-    (3, "B", "q", "H2000"),
-    (1, "C", "q", "q", "q"),
-)
 
-H3100 = (
-    (3, "B", "q", "H2100"),
-    (1, "B", "~q", "H3000"),
-    (3, "B", "H1100", "H2000"),
-    (3, "C", "q", "q", "H1100"),
-    (3, "C", "q", "~q", "H2000"),
-    (1, "D", "q", "q", "q", "~q"),
-)
-
-H2200 = (
-    (2, "B", "q", "~H2100"),
-    (2, "B", "~q", "H2100"),
-    (1, "B", "H2000", "~H2000"),
-    (2, "B", "H1100", "H1100"),
-    (1, "C", "q", "q", "~H2000"),
-    (4, "C", "q", "~q", "H1100"),
-    (1, "C", "~q", "~q", "H2000"),
-    (1, "D", "q", "q", "~q", "~q"),
-)
-
-M3200 = (
-    (3, "B", "q", "H2200"),
-    (2, "B", "~q", "H3100"),
-    (1, "B", "~H2000", "H3000"),
-    (6, "B", "H1100", "H2100"),
-    (3, "B", "~H2100", "H2000"),
-    (3, "C", "q", "q", "~H2100"),
-    (6, "C", "q", "~q", "H2100"),
-    (3, "C", "q", "H2000", "~H2000"),
-    (6, "C", "q", "H1100", "H1100"),
-    (1, "C", "~q", "~q", "H3000"),
-    (6, "C", "~q", "H1100", "H2000"),
-    (1, "D", "q", "q", "q", "~H2000"),
-    (6, "D", "q", "q", "~q", "H1100"),
-    (3, "D", "q", "~q", "~q", "H2000"),
-    (1, "E", "q", "q", "q", "~q", "~q"),
-)
-
-H4000 = (
-    (4, "B", "q", "H3000"),
-    (3, "B", "H2000", "H2000"),
-    (6, "C", "q", "q", "H2000"),
-    (1, "D", "q", "q", "q", "q"),
-)
-
-H4100 = (
-    (4, "B", "q", "H3100"),
-    (1, "B", "~q", "H4000"),
-    (4, "B", "H1100", "H3000"),
-    (6, "B", "H2000", "H2100"),
-    (6, "C", "q", "q", "H2100"),
-    (4, "C", "q", "~q", "H3000"),
-    (12, "C", "q", "H1100", "H2000"),
-    (3, "C", "~q", "H2000", "H2000"),
-    (4, "D", "q", "q", "q", "H1100"),
-    (6, "D", "q", "q", "~q", "H2000"),
-    (1, "E", "q", "q", "q", "q", "~q"),
-)
-
-H4200 = (
-    (4, "B", "q", "H3200"),
-    (2, "B", "~q", "H4100"),
-    (1, "B", "~H2000", "H4000"),
-    (8, "B", "H1100", "H3100"),
-    (4, "B", "~H2100", "H3000"),
-    (6, "B", "H2000", "H2200"),
-    (6, "B", "H2100", "H2100"),
-    (6, "C", "q", "q", "H2200"),
-    (8, "C", "q", "~q", "H3100"),
-    (4, "C", "q", "~H2000", "H3000"),
-    (24, "C", "q", "H1100", "H2100"),
-    (12, "C", "q", "~H2100", "H2000"),
-    (1, "C", "~q", "~q", "H4000"),
-    (8, "C", "~q", "H1100", "H3000"),
-    (12, "C", "~q", "H2000", "H2100"),
-    (3, "C", "~H2000", "H2000", "H2000"),
-    (12, "C", "H1100", "H1100", "H2000"),
-    (4, "D", "q", "q", "q", "~H2100"),
-    (12, "D", "q", "q", "~q", "H2100"),
-    (6, "D", "q", "q", "~H2000", "H2000"),
-    (12, "D", "q", "q", "H1100", "H1100"),
-    (4, "D", "q", "~q", "~q", "H3000"),
-    (24, "D", "q", "~q", "H1100", "H2000"),
-    (3, "D", "~q", "~q", "H2000", "H2000"),
-    (1, "E", "q", "q", "q", "q", "~H2000"),
-    (8, "E", "q", "q", "q", "~q", "H1100"),
-    (6, "E", "q", "q", "~q", "~q", "H2000"),
-    (1, "K6", "q", "q", "q", "q", "~q", "~q"),
-)
-
-H3300 = (
-    (3, "B", "q", "~H3200"),
-    (3, "B", "~q", "H3200"),
-    (3, "B", "~H2000", "H3100"),
-    (1, "B", "~H3000", "H3000"),
-    (9, "B", "H1100", "H2200"),
-    (9, "B", "H2100", "~H2100"),
-    (3, "B", "~H3100", "H2000"),
-    (3, "C", "q", "q", "~H3100"),
-    (9, "C", "q", "~q", "H2200"),
-    (9, "C", "q", "~H2000", "H2100"),
-    (3, "C", "q", "~H3000", "H2000"),
-    (18, "C", "q", "H1100", "~H2100"),
-    (3, "C", "~q", "~q", "H3100"),
-    (3, "C", "~q", "~H2000", "H3000"),
-    (18, "C", "~q", "H1100", "H2100"),
-    (9, "C", "~q", "~H2100", "H2000"),
-    (9, "C", "~H2000", "H1100", "H2000"),
-    (6, "C", "H1100", "H1100", "H1100"),
-    (1, "D", "q", "q", "q", "~H3000"),
-    (9, "D", "q", "q", "~q", "~H2100"),
-    (9, "D", "q", "q", "~H2000", "H1100"),
-    (9, "D", "q", "~q", "~q", "H2100"),
-    (9, "D", "q", "~q", "~H2000", "H2000"),
-    (18, "D", "q", "~q", "H1100", "H1100"),
-    (1, "D", "~q", "~q", "~q", "H3000"),
-    (9, "D", "~q", "~q", "H1100", "H2000"),
-    (3, "E", "q", "q", "q", "~q", "~H2000"),
-    (9, "E", "q", "q", "~q", "~q", "H1100"),
-    (3, "E", "q", "~q", "~q", "~q", "H2000"),
-    (1, "K6", "q", "q", "q", "~q", "~q", "~q"),
-)
-
-M4300 = (
-    (4, "B", "q", "H3300"),
-    (3, "B", "~q", "H4200"),
-    (3, "B", "~H2000", "H4100"),
-    (1, "B", "~H3000", "H4000"),
-    (12, "B", "H1100", "H3200"),
-    (12, "B", "~H2100", "H3100"),
-    (4, "B", "~H3100", "H3000"),
-    (6, "B", "H2000", "~H3200"),
-    (18, "B", "H2100", "H2200"),
-    (6, "C", "q", "q", "~H3200"),
-    (12, "C", "q", "~q", "H3200"),
-    (12, "C", "q", "~H2000", "H3100"),
-    (4, "C", "q", "~H3000", "H3000"),
-    (36, "C", "q", "H1100", "H2200"),
-    (36, "C", "q", "~H2100", "H2100"),
-    (12, "C", "q", "~H3100", "H2000"),
-    (3, "C", "~q", "~q", "H4100"),
-    (3, "C", "~q", "~H2000", "H4000"),
-    (24, "C", "~q", "H1100", "H3100"),
-    (12, "C", "~q", "~H2100", "H3000"),
-    (18, "C", "~q", "H2000", "H2200"),
-    (18, "C", "~q", "H2100", "H2100"),
-    (12, "C", "~H2000", "H1100", "H3000"),
-    (18, "C", "~H2000", "H2000", "H2100"),
-    (3, "C", "~H3000", "H2000", "H2000"),
-    (36, "C", "H1100", "H1100", "H2100"),
-    (36, "C", "H1100", "~H2100", "H2000"),
-    (4, "D", "q", "q", "q", "~H3100"),
-    (18, "D", "q", "q", "~q", "H2200"),
-    (18, "D", "q", "q", "~H2000", "H2100"),
-    (6, "D", "q", "q", "~H3000", "H2000"),
-    (36, "D", "q", "q", "H1100", "~H2100"),
-    (12, "D", "q", "~q", "~q", "H3100"),
-    (12, "D", "q", "~q", "~H2000", "H3000"),
-    (72, "D", "q", "~q", "H1100", "H2100"),
-    (36, "D", "q", "~q", "~H2100", "H2000"),
-    (36, "D", "q", "~H2000", "H1100", "H2000"),
-    (24, "D", "q", "H1100", "H1100", "H1100"),
-    (1, "D", "~q", "~q", "~q", "H4000"),
-    (12, "D", "~q", "~q", "H1100", "H3000"),
-    (18, "D", "~q", "~q", "H2000", "H2100"),
-    (9, "D", "~q", "~H2000", "H2000", "H2000"),
-    (36, "D", "~q", "H1100", "H1100", "H2000"),
-    (1, "E", "q", "q", "q", "q", "~H3000"),
-    (12, "E", "q", "q", "q", "~q", "~H2100"),
-    (12, "E", "q", "q", "q", "~H2000", "H1100"),
-    (18, "E", "q", "q", "~q", "~q", "H2100"),
-    (18, "E", "q", "q", "~q", "~H2000", "H2000"),
-    (36, "E", "q", "q", "~q", "H1100", "H1100"),
-    (4, "E", "q", "~q", "~q", "~q", "H3000"),
-    (36, "E", "q", "~q", "~q", "H1100", "H2000"),
-    (3, "E", "~q", "~q", "~q", "H2000", "H2000"),
-    (3, "K6", "q", "q", "q", "q", "~q", "~H2000"),
-    (12, "K6", "q", "q", "q", "~q", "~q", "H1100"),
-    (6, "K6", "q", "q", "~q", "~q", "~q", "H2000"),
-    (1, "L7", "q", "q", "q", "q", "~q", "~q", "~q"),
-)
-
-# --- tail of the parameter-independent table (orders 5..7) -------------------
-
-H5000 = (
-    (5, "B", "q", "H4000"),
-    (10, "B", "H2000", "H3000"),
-    (10, "C", "q", "q", "H3000"),
-    (15, "C", "q", "H2000", "H2000"),
-    (10, "D", "q", "q", "q", "H2000"),
-    (1, "E", "q", "q", "q", "q", "q"),
-)
-
-H6000 = (
-    (6, "B", "q", "H5000"),
-    (15, "B", "H2000", "H4000"),
-    (10, "B", "H3000", "H3000"),
-    (15, "C", "q", "q", "H4000"),
-    (60, "C", "q", "H2000", "H3000"),
-    (15, "C", "H2000", "H2000", "H2000"),
-    (20, "D", "q", "q", "q", "H3000"),
-    (45, "D", "q", "q", "H2000", "H2000"),
-    (15, "E", "q", "q", "q", "q", "H2000"),
-    (1, "K6", "q", "q", "q", "q", "q", "q"),
-)
-
-H5100 = (
-    (5, "B", "q", "H4100"),
-    (1, "B", "~q", "H5000"),
-    (5, "B", "H1100", "H4000"),
-    (10, "B", "H2000", "H3100"),
-    (10, "B", "H2100", "H3000"),
-    (10, "C", "q", "q", "H3100"),
-    (5, "C", "q", "~q", "H4000"),
-    (20, "C", "q", "H1100", "H3000"),
-    (30, "C", "q", "H2000", "H2100"),
-    (10, "C", "~q", "H2000", "H3000"),
-    (15, "C", "H1100", "H2000", "H2000"),
-    (10, "D", "q", "q", "q", "H2100"),
-    (10, "D", "q", "q", "~q", "H3000"),
-    (30, "D", "q", "q", "H1100", "H2000"),
-    (15, "D", "q", "~q", "H2000", "H2000"),
-    (5, "E", "q", "q", "q", "q", "H1100"),
-    (10, "E", "q", "q", "q", "~q", "H2000"),
-    (1, "K6", "q", "q", "q", "q", "q", "~q"),
-)
-
-H7000 = (
-    (7, "B", "q", "H6000"),
-    (21, "B", "H2000", "H5000"),
-    (35, "B", "H3000", "H4000"),
-    (21, "C", "q", "q", "H5000"),
-    (105, "C", "q", "H2000", "H4000"),
-    (70, "C", "q", "H3000", "H3000"),
-    (105, "C", "H2000", "H2000", "H3000"),
-    (35, "D", "q", "q", "q", "H4000"),
-    (210, "D", "q", "q", "H2000", "H3000"),
-    (105, "D", "q", "H2000", "H2000", "H2000"),
-    (35, "E", "q", "q", "q", "q", "H3000"),
-    (105, "E", "q", "q", "q", "H2000", "H2000"),
-    (21, "K6", "q", "q", "q", "q", "q", "H2000"),
-    (1, "L7", "q", "q", "q", "q", "q", "q", "q"),
-)
-
-H6100 = (
-    (6, "B", "q", "H5100"),
-    (1, "B", "~q", "H6000"),
-    (6, "B", "H1100", "H5000"),
-    (15, "B", "H2000", "H4100"),
-    (15, "B", "H2100", "H4000"),
-    (20, "B", "H3000", "H3100"),
-    (15, "C", "q", "q", "H4100"),
-    (6, "C", "q", "~q", "H5000"),
-    (30, "C", "q", "H1100", "H4000"),
-    (60, "C", "q", "H2000", "H3100"),
-    (60, "C", "q", "H2100", "H3000"),
-    (15, "C", "~q", "H2000", "H4000"),
-    (10, "C", "~q", "H3000", "H3000"),
-    (60, "C", "H1100", "H2000", "H3000"),
-    (45, "C", "H2000", "H2000", "H2100"),
-    (20, "D", "q", "q", "q", "H3100"),
-    (15, "D", "q", "q", "~q", "H4000"),
-    (60, "D", "q", "q", "H1100", "H3000"),
-    (90, "D", "q", "q", "H2000", "H2100"),
-    (60, "D", "q", "~q", "H2000", "H3000"),
-    (90, "D", "q", "H1100", "H2000", "H2000"),
-    (15, "D", "~q", "H2000", "H2000", "H2000"),
-    (15, "E", "q", "q", "q", "q", "H2100"),
-    (20, "E", "q", "q", "q", "~q", "H3000"),
-    (60, "E", "q", "q", "q", "H1100", "H2000"),
-    (45, "E", "q", "q", "~q", "H2000", "H2000"),
-    (6, "K6", "q", "q", "q", "q", "q", "H1100"),
-    (15, "K6", "q", "q", "q", "q", "~q", "H2000"),
-    (1, "L7", "q", "q", "q", "q", "q", "q", "~q"),
-)
-
-H5200 = (
-    (5, "B", "q", "H4200"),
-    (2, "B", "~q", "H5100"),
-    (1, "B", "~H2000", "H5000"),
-    (10, "B", "H1100", "H4100"),
-    (5, "B", "~H2100", "H4000"),
-    (10, "B", "H2000", "H3200"),
-    (20, "B", "H2100", "H3100"),
-    (10, "B", "H2200", "H3000"),
-    (10, "C", "q", "q", "H3200"),
-    (10, "C", "q", "~q", "H4100"),
-    (5, "C", "q", "~H2000", "H4000"),
-    (40, "C", "q", "H1100", "H3100"),
-    (20, "C", "q", "~H2100", "H3000"),
-    (30, "C", "q", "H2000", "H2200"),
-    (30, "C", "q", "H2100", "H2100"),
-    (1, "C", "~q", "~q", "H5000"),
-    (10, "C", "~q", "H1100", "H4000"),
-    (20, "C", "~q", "H2000", "H3100"),
-    (20, "C", "~q", "H2100", "H3000"),
-    (10, "C", "~H2000", "H2000", "H3000"),
-    (20, "C", "H1100", "H1100", "H3000"),
-    (60, "C", "H1100", "H2000", "H2100"),
-    (15, "C", "~H2100", "H2000", "H2000"),
-    (10, "D", "q", "q", "q", "H2200"),
-    (20, "D", "q", "q", "~q", "H3100"),
-    (10, "D", "q", "q", "~H2000", "H3000"),
-    (60, "D", "q", "q", "H1100", "H2100"),
-    (30, "D", "q", "q", "~H2100", "H2000"),
-    (5, "D", "q", "~q", "~q", "H4000"),
-    (40, "D", "q", "~q", "H1100", "H3000"),
-    (60, "D", "q", "~q", "H2000", "H2100"),
-    (15, "D", "q", "~H2000", "H2000", "H2000"),
-    (60, "D", "q", "H1100", "H1100", "H2000"),
-    (10, "D", "~q", "~q", "H2000", "H3000"),
-    (30, "D", "~q", "H1100", "H2000", "H2000"),
-    (5, "E", "q", "q", "q", "q", "~H2100"),
-    (20, "E", "q", "q", "q", "~q", "H2100"),
-    (10, "E", "q", "q", "q", "~H2000", "H2000"),
-    (20, "E", "q", "q", "q", "H1100", "H1100"),
-    (10, "E", "q", "q", "~q", "~q", "H3000"),
-    (60, "E", "q", "q", "~q", "H1100", "H2000"),
-    (15, "E", "q", "~q", "~q", "H2000", "H2000"),
-    (1, "K6", "q", "q", "q", "q", "q", "~H2000"),
-    (10, "K6", "q", "q", "q", "q", "~q", "H1100"),
-    (10, "K6", "q", "q", "q", "~q", "~q", "H2000"),
-    (1, "L7", "q", "q", "q", "q", "q", "~q", "~q"),
-)
-
-# --- parameter-dependent M tables -------------------------------------------
-
-M3001 = (
-    (1, "A1", "H3000", "K01"),
-    (3, "B", "q", "H2001"),
-    (1, "B", "H0001", "H3000"),
-    (3, "B", "H1001", "H2000"),
-    (3, "B1", "q", "H2000", "K01"),
-    (3, "C", "q", "q", "H1001"),
-    (3, "C", "q", "H0001", "H2000"),
-    (1, "C1", "q", "q", "q", "K01"),
-    (1, "D", "q", "q", "q", "H0001"),
-)
-
-M3101 = (
-    (1, "A1", "H3100", "K01"),
-    (3, "B", "q", "H2101"),
-    (1, "B", "~q", "H3001"),
-    (1, "B", "H0001", "H3100"),
-    (1, "B", "~H1001", "H3000"),
-    (3, "B", "H1001", "H2100"),
-    (3, "B", "H1100", "H2001"),
-    (3, "B", "H1101", "H2000"),
-    (3, "B1", "q", "H2100", "K01"),
-    (1, "B1", "~q", "H3000", "K01"),
-    (3, "B1", "H1100", "H2000", "K01"),
-    (3, "C", "q", "q", "H1101"),
-    (3, "C", "q", "~q", "H2001"),
-    (3, "C", "q", "H0001", "H2100"),
-    (3, "C", "q", "~H1001", "H2000"),
-    (6, "C", "q", "H1001", "H1100"),
-    (1, "C", "~q", "H0001", "H3000"),
-    (3, "C", "~q", "H1001", "H2000"),
-    (3, "C", "H0001", "H1100", "H2000"),
-    (3, "C1", "q", "q", "H1100", "K01"),
-    (3, "C1", "q", "~q", "H2000", "K01"),
-    (1, "D", "q", "q", "q", "~H1001"),
-    (3, "D", "q", "q", "~q", "H1001"),
-    (3, "D", "q", "q", "H0001", "H1100"),
-    (3, "D", "q", "~q", "H0001", "H2000"),
-    (1, "D1", "q", "q", "q", "~q", "K01"),
-    (1, "E", "q", "q", "q", "~q", "H0001"),
-)
-
-M2201 = (
-    (1, "A1", "H2200", "K01"),
-    (2, "B", "q", "~H2101"),
-    (2, "B", "~q", "H2101"),
-    (1, "B", "H0001", "H2200"),
-    (2, "B", "~H1001", "H2100"),
-    (1, "B", "~H2000", "H2001"),
-    (1, "B", "~H2001", "H2000"),
-    (2, "B", "H1001", "~H2100"),
-    (4, "B", "H1100", "H1101"),
-    (2, "B1", "q", "~H2100", "K01"),
-    (1, "B1", "~H2000", "H2000", "K01"),
-    (2, "B1", "H1100", "H1100", "K01"),
-    (2, "B1", "~q", "H2100", "K01"),
-    (1, "C", "q", "q", "~H2001"),
-    (4, "C", "q", "~q", "H1101"),
-    (2, "C", "q", "H0001", "~H2100"),
-    (4, "C", "q", "~H1001", "H1100"),
-    (2, "C", "q", "~H2000", "H1001"),
-    (1, "C", "~q", "~q", "H2001"),
-    (2, "C", "~q", "H0001", "H2100"),
-    (2, "C", "~q", "~H1001", "H2000"),
-    (4, "C", "~q", "H1001", "H1100"),
-    (1, "C", "H0001", "~H2000", "H2000"),
-    (2, "C", "H0001", "H1100", "H1100"),
-    (1, "C1", "q", "q", "~H2000", "K01"),
-    (4, "C1", "q", "~q", "H1100", "K01"),
-    (1, "C1", "~q", "~q", "H2000", "K01"),
-    (2, "D", "q", "q", "~q", "~H1001"),
-    (1, "D", "q", "q", "H0001", "~H2000"),
-    (2, "D", "q", "~q", "~q", "H1001"),
-    (4, "D", "q", "~q", "H0001", "H1100"),
-    (1, "D", "~q", "~q", "H0001", "H2000"),
-    (1, "D1", "q", "q", "~q", "~q", "K01"),
-    (1, "E", "q", "q", "~q", "~q", "H0001"),
-)
-
-M3201 = (
-    (1, "A1", "H3200", "K01"),
-    (3, "B", "q", "H2201"),
-    (2, "B", "~q", "H3101"),
-    (1, "B", "H0001", "H3200"),
-    (2, "B", "~H1001", "H3100"),
-    (1, "B", "~H2000", "H3001"),
-    (1, "B", "~H2001", "H3000"),
-    (3, "B", "H1001", "H2200"),
-    (6, "B", "H1100", "H2101"),
-    (6, "B", "H1101", "H2100"),
-    (3, "B", "~H2100", "H2001"),
-    (3, "B", "~H2101", "H2000"),
-    (3, "B1", "q", "H2200", "K01"),
-    (2, "B1", "~q", "H3100", "K01"),
-    (1, "B1", "~H2000", "H3000", "K01"),
-    (6, "B1", "H1100", "H2100", "K01"),
-    (3, "B1", "~H2100", "H2000", "K01"),
-    (3, "C", "q", "q", "~H2101"),
-    (6, "C", "q", "~q", "H2101"),
-    (3, "C", "q", "H0001", "H2200"),
-    (6, "C", "q", "~H1001", "H2100"),
-    (3, "C", "q", "~H2000", "H2001"),
-    (3, "C", "q", "~H2001", "H2000"),
-    (6, "C", "q", "H1001", "~H2100"),
-    (12, "C", "q", "H1100", "H1101"),
-    (1, "C", "~q", "~q", "H3001"),
-    (2, "C", "~q", "H0001", "H3100"),
-    (2, "C", "~q", "~H1001", "H3000"),
-    (6, "C", "~q", "H1001", "H2100"),
-    (6, "C", "~q", "H1100", "H2001"),
-    (6, "C", "~q", "H1101", "H2000"),
-    (1, "C", "H0001", "~H2000", "H3000"),
-    (6, "C", "H0001", "H1100", "H2100"),
-    (3, "C", "H0001", "~H2100", "H2000"),
-    (6, "C", "~H1001", "H1100", "H2000"),
-    (3, "C", "~H2000", "H1001", "H2000"),
-    (6, "C", "H1001", "H1100", "H1100"),
-    (3, "C1", "q", "q", "~H2100", "K01"),
-    (6, "C1", "q", "~q", "H2100", "K01"),
-    (3, "C1", "q", "~H2000", "H2000", "K01"),
-    (6, "C1", "q", "H1100", "H1100", "K01"),
-    (1, "C1", "~q", "~q", "H3000", "K01"),
-    (6, "C1", "~q", "H1100", "H2000", "K01"),
-    (1, "D", "q", "q", "q", "~H2001"),
-    (6, "D", "q", "q", "~q", "H1101"),
-    (3, "D", "q", "q", "H0001", "~H2100"),
-    (6, "D", "q", "q", "~H1001", "H1100"),
-    (3, "D", "q", "q", "~H2000", "H1001"),
-    (3, "D", "q", "~q", "~q", "H2001"),
-    (6, "D", "q", "~q", "H0001", "H2100"),
-    (6, "D", "q", "~q", "~H1001", "H2000"),
-    (12, "D", "q", "~q", "H1001", "H1100"),
-    (3, "D", "q", "H0001", "~H2000", "H2000"),
-    (6, "D", "q", "H0001", "H1100", "H1100"),
-    (1, "D", "~q", "~q", "H0001", "H3000"),
-    (3, "D", "~q", "~q", "H1001", "H2000"),
-    (6, "D", "~q", "H0001", "H1100", "H2000"),
-    (1, "D1", "q", "q", "q", "~H2000", "K01"),
-    (6, "D1", "q", "q", "~q", "H1100", "K01"),
-    (3, "D1", "q", "~q", "~q", "H2000", "K01"),
-    (2, "E", "q", "q", "q", "~q", "~H1001"),
-    (1, "E", "q", "q", "q", "H0001", "~H2000"),
-    (3, "E", "q", "q", "~q", "~q", "H1001"),
-    (6, "E", "q", "q", "~q", "H0001", "H1100"),
-    (3, "E", "q", "~q", "~q", "H0001", "H2000"),
-    (1, "E1", "q", "q", "q", "~q", "~q", "K01"),
-    (1, "K6", "q", "q", "q", "~q", "~q", "H0001"),
-)
-
-M0002 = (
-    (2, "A1", "H0001", "K01"),
-    (1, "B", "H0001", "H0001"),
-    (1, "J2", "K01", "K01"),
-)
-
-M1002 = (
-    (2, "A1", "H1001", "K01"),
-    (2, "B", "H0001", "H1001"),
-    (1, "A2", "q", "K01", "K01"),
-    (2, "B1", "q", "H0001", "K01"),
-    (1, "C", "q", "H0001", "H0001"),
-)
-
-M2002 = (
-    (2, "A1", "H2001", "K01"),
-    (2, "B", "H0001", "H2001"),
-    (2, "B", "H1001", "H1001"),
-    (1, "A2", "H2000", "K01", "K01"),
-    (4, "B1", "q", "H1001", "K01"),
-    (2, "B1", "H0001", "H2000", "K01"),
-    (4, "C", "q", "H0001", "H1001"),
-    (1, "C", "H0001", "H0001", "H2000"),
-    (1, "B2", "q", "q", "K01", "K01"),
-    (2, "C1", "q", "q", "H0001", "K01"),
-    (1, "D", "q", "q", "H0001", "H0001"),
-)
-
-M1102 = (
-    (2, "A1", "H1101", "K01"),
-    (2, "B", "H0001", "H1101"),
-    (2, "B", "~H1001", "H1001"),
-    (1, "A2", "H1100", "K01", "K01"),
-    (4, "Re:B1", "~q", "H1001", "K01"),
-    (2, "B1", "H0001", "H1100", "K01"),
-    (4, "Re:C", "~q", "H0001", "H1001"),
-    (1, "C", "H0001", "H0001", "H1100"),
-    (1, "B2", "q", "~q", "K01", "K01"),
-    (2, "C1", "q", "~q", "H0001", "K01"),
-    (1, "D", "q", "~q", "H0001", "H0001"),
-)
-
-M2102 = (
-    (2, "A1", "H2101", "K01"),
-    (2, "B", "H0001", "H2101"),
-    (2, "B", "~H1001", "H2001"),
-    (4, "B", "H1001", "H1101"),
-    (1, "A2", "H2100", "K01", "K01"),
-    (4, "B1", "q", "H1101", "K01"),
-    (2, "B1", "~q", "H2001", "K01"),
-    (2, "B1", "H0001", "H2100", "K01"),
-    (2, "B1", "~H1001", "H2000", "K01"),
-    (4, "B1", "H1001", "H1100", "K01"),
-    (4, "C", "q", "H0001", "H1101"),
-    (4, "C", "q", "~H1001", "H1001"),
-    (2, "C", "~q", "H0001", "H2001"),
-    (2, "C", "~q", "H1001", "H1001"),
-    (1, "C", "H0001", "H0001", "H2100"),
-    (2, "C", "H0001", "~H1001", "H2000"),
-    (4, "C", "H0001", "H1001", "H1100"),
-    (2, "B2", "q", "H1100", "K01", "K01"),
-    (1, "B2", "~q", "H2000", "K01", "K01"),
-    (2, "C1", "q", "q", "~H1001", "K01"),
-    (4, "C1", "q", "~q", "H1001", "K01"),
-    (4, "C1", "q", "H0001", "H1100", "K01"),
-    (2, "C1", "~q", "H0001", "H2000", "K01"),
-    (2, "D", "q", "q", "H0001", "~H1001"),
-    (4, "D", "q", "~q", "H0001", "H1001"),
-    (2, "D", "q", "H0001", "H0001", "H1100"),
-    (1, "D", "~q", "H2000", "H0001", "H0001"),
-    (1, "C2", "q", "q", "~q", "K01", "K01"),
-    (2, "D1", "q", "q", "~q", "H0001", "K01"),
-    (1, "E", "q", "q", "~q", "H0001", "H0001"),
-)
-
-M0011 = (
-    (1, "A1", "H0010", "K01"),
-    (1, "A1", "H0001", "K10"),
-    (1, "B", "H0001", "H0010"),
-    (1, "J2", "K01", "K10"),
-)
-
-M1011 = (
-    (1, "A1", "H1010", "K01"),
-    (1, "A1", "H1001", "K10"),
-    (1, "B", "H0001", "H1010"),
-    (1, "B", "H0010", "H1001"),
-    (1, "A2", "q", "K01", "K10"),
-    (1, "B1", "q", "H0010", "K01"),
-    (1, "B1", "q", "H0001", "K10"),
-    (1, "C", "q", "H0001", "H0010"),
-)
-
-M2011 = (
-    (1, "A1", "H2010", "K01"),
-    (1, "A1", "H2001", "K10"),
-    (1, "B", "H0001", "H2010"),
-    (1, "B", "H0010", "H2001"),
-    (2, "B", "H1001", "H1010"),
-    (1, "A2", "H2000", "K01", "K10"),
-    (2, "B1", "q", "H1010", "K01"),
-    (2, "B1", "q", "H1001", "K10"),
-    (1, "B1", "H0010", "H2000", "K01"),
-    (1, "B1", "H0001", "H2000", "K10"),
-    (2, "C", "q", "H0001", "H1010"),
-    (2, "C", "q", "H0010", "H1001"),
-    (1, "C", "H0001", "H0010", "H2000"),
-    (1, "B2", "q", "q", "K10", "K01"),
-    (1, "C1", "q", "q", "H0010", "K01"),
-    (1, "C1", "q", "q", "H0001", "K10"),
-    (1, "D", "q", "q", "H0001", "H0010"),
-)
-
-M1111 = (
-    (1, "A1", "H1110", "K01"),
-    (1, "A1", "H1101", "K10"),
-    (1, "B", "H0001", "H1110"),
-    (1, "B", "H0010", "H1101"),
-    (2, "Re:B", "~H1001", "H1010"),
-    (1, "A2", "H1100", "K01", "K10"),
-    (2, "Re:B1", "~q", "H1010", "K01"),
-    (2, "Re:B1", "~q", "H1001", "K10"),
-    (1, "B1", "H0010", "H1100", "K01"),
-    (1, "B1", "H0001", "H1100", "K10"),
-    (2, "Re:C", "~q", "H0001", "H1010"),
-    (2, "Re:C", "~q", "H0010", "H1001"),
-    (1, "C", "H0001", "H0010", "H1100"),
-    (1, "B2", "q", "~q", "K01", "K10"),
-    (1, "C1", "q", "~q", "H0010", "K01"),
-    (1, "C1", "q", "~q", "H0001", "K10"),
-    (1, "D", "q", "~q", "H0001", "H0010"),
-)
-
-M2111 = (
-    (1, "A1", "H2110", "K01"),
-    (1, "A1", "H2101", "K10"),
-    (1, "B", "H0001", "H2110"),
-    (1, "B", "H0010", "H2101"),
-    (1, "B", "~H1001", "H2010"),
-    (1, "B", "~H1010", "H2001"),
-    (2, "B", "H1001", "H1110"),
-    (2, "B", "H1010", "H1101"),
-    (1, "A2", "H2100", "K01", "K10"),
-    (2, "B1", "q", "H1110", "K01"),
-    (2, "B1", "q", "H1101", "K10"),
-    (1, "B1", "~q", "H2010", "K01"),
-    (1, "B1", "~q", "H2001", "K10"),
-    (1, "B1", "H0010", "H2100", "K01"),
-    (1, "B1", "~H1010", "H2000", "K01"),
-    (2, "B1", "H1010", "H1100", "K01"),
-    (1, "B1", "H0001", "H2100", "K10"),
-    (1, "B1", "~H1001", "H2000", "K10"),
-    (2, "B1", "H1001", "H1100", "K10"),
-    (2, "C", "q", "H0001", "H1110"),
-    (2, "C", "q", "H0010", "H1101"),
-    (2, "C", "q", "~H1001", "H1010"),
-    (2, "C", "q", "~H1010", "H1001"),
-    (1, "C", "~q", "H0001", "H2010"),
-    (1, "C", "~q", "H0010", "H2001"),
-    (2, "C", "~q", "H1001", "H1010"),
-    (1, "C", "H0001", "H0010", "H2100"),
-    (1, "C", "H0001", "~H1010", "H2000"),
-    (2, "C", "H0001", "H1010", "H1100"),
-    (1, "C", "H0010", "~H1001", "H2000"),
-    (2, "C", "H0010", "H1001", "H1100"),
-    (2, "B2", "q", "H1100", "K01", "K10"),
-    (1, "B2", "~q", "H2000", "K01", "K10"),
-    (1, "C1", "q", "q", "~H1010", "K01"),
-    (1, "C1", "q", "q", "~H1001", "K10"),
-    (2, "C1", "q", "~q", "H1010", "K01"),
-    (2, "C1", "q", "~q", "H1001", "K10"),
-    (2, "C1", "q", "H0010", "H1100", "K01"),
-    (2, "C1", "q", "H0001", "H1100", "K10"),
-    (1, "C1", "~q", "H0010", "H2000", "K01"),
-    (1, "C1", "~q", "H0001", "H2000", "K10"),
-    (1, "D", "q", "q", "H0001", "~H1010"),
-    (1, "D", "q", "q", "H0010", "~H1001"),
-    (2, "D", "q", "~q", "H0001", "H1010"),
-    (2, "D", "q", "~q", "H0010", "H1001"),
-    (2, "D", "q", "H0001", "H0010", "H1100"),
-    (1, "D", "~q", "H0001", "H0010", "H2000"),
-    (1, "C2", "q", "q", "~q", "K01", "K10"),
-    (1, "D1", "q", "q", "~q", "H0010", "K01"),
-    (1, "D1", "q", "q", "~q", "H0001", "K10"),
-    (1, "E", "q", "q", "~q", "H0001", "H0010"),
-)
-
-M0003 = (
-    (3, "A1", "H0002", "K01"),
-    (3, "A1", "H0001", "K02"),
-    (3, "B", "H0001", "H0002"),
-    (3, "J2", "K01", "K02"),
-    (3, "A2", "H0001", "K01", "K01"),
-    (3, "B1", "H0001", "H0001", "K01"),
-    (1, "J3", "K01", "K01", "K01"),
-    (1, "C", "H0001", "H0001", "H0001"),
-)
-
-M1003 = (
-    (3, "A1", "H1002", "K01"),
-    (3, "A1", "H1001", "K02"),
-    (3, "B", "H0001", "H1002"),
-    (3, "B", "H0002", "H1001"),
-    (3, "A2", "q", "K01", "K02"),
-    (3, "A2", "H1001", "K01", "K01"),
-    (3, "B1", "q", "H0002", "K01"),
-    (3, "B1", "q", "H0001", "K02"),
-    (6, "B1", "H0001", "H1001", "K01"),
-    (3, "C", "q", "H0001", "H0002"),
-    (3, "C", "H0001", "H0001", "H1001"),
-    (1, "A3", "q", "K01", "K01", "K01"),
-    (3, "B2", "q", "H0001", "K01", "K01"),
-    (3, "C1", "q", "H0001", "H0001", "K01"),
-    (1, "D", "q", "H0001", "H0001", "H0001"),
-)
-
-M2003 = (
-    (3, "A1", "H2002", "K01"),
-    (3, "A1", "H2001", "K02"),
-    (3, "B", "H0001", "H2002"),
-    (3, "B", "H0002", "H2001"),
-    (6, "B", "H1001", "H1002"),
-    (3, "A2", "H2001", "K01", "K01"),
-    (3, "A2", "H2000", "K01", "K02"),
-    (6, "B1", "q", "H1002", "K01"),
-    (6, "B1", "q", "H1001", "K02"),
-    (6, "B1", "H0001", "H2001", "K01"),
-    (3, "B1", "H0002", "H2000", "K01"),
-    (6, "B1", "H1001", "H1001", "K01"),
-    (3, "B1", "H0001", "H2000", "K02"),
-    (6, "C", "q", "H0001", "H1002"),
-    (6, "C", "q", "H0002", "H1001"),
-    (3, "C", "H0001", "H0001", "H2001"),
-    (3, "C", "H0001", "H0002", "H2000"),
-    (6, "C", "H0001", "H1001", "H1001"),
-    (1, "A3", "H2000", "K01", "K01", "K01"),
-    (3, "B2", "q", "q", "K01", "K02"),
-    (6, "B2", "q", "H1001", "K01", "K01"),
-    (3, "B2", "H0001", "H2000", "K01", "K01"),
-    (3, "C1", "q", "q", "H0002", "K01"),
-    (3, "C1", "q", "q", "H0001", "K02"),
-    (12, "C1", "q", "H0001", "H1001", "K01"),
-    (3, "C1", "H0001", "H0001", "H2000", "K01"),
-    (3, "D", "q", "q", "H0001", "H0002"),
-    (6, "D", "q", "H0001", "H0001", "H1001"),
-    (1, "D", "H0001", "H0001", "H0001", "H2000"),
-    (1, "B3", "q", "q", "K01", "K01", "K01"),
-    (3, "C2", "q", "q", "H0001", "K01", "K01"),
-    (3, "D1", "q", "q", "H0001", "H0001", "K01"),
-    (1, "E", "q", "q", "H0001", "H0001", "H0001"),
-)
-
-M1103 = (
-    (3, "A1", "H1102", "K01"),
-    (3, "A1", "H1101", "K02"),
-    (3, "B", "H0001", "H1102"),
-    (3, "B", "H0002", "H1101"),
-    (3, "B", "~H1001", "H1002"),
-    (3, "B", "~H1002", "H1001"),
-    (3, "A2", "H1101", "K01", "K01"),
-    (3, "A2", "H1100", "K01", "K02"),
-    (6, "Re:B1", "~q", "H1002", "K01"),
-    (6, "Re:B1", "~q", "H1001", "K02"),
-    (6, "B1", "H0001", "H1101", "K01"),
-    (3, "B1", "H0002", "H1100", "K01"),
-    (6, "B1", "~H1001", "H1001", "K01"),
-    (3, "B1", "H0001", "H1100", "K02"),
-    (6, "Re:C", "~q", "H0001", "H1002"),
-    (6, "Re:C", "~q", "H0002", "H1001"),
-    (3, "C", "H0001", "H0001", "H1101"),
-    (3, "C", "H0001", "H0002", "H1100"),
-    (6, "C", "H0001", "~H1001", "H1001"),
-    (1, "A3", "H1100", "K01", "K01", "K01"),
-    (3, "B2", "q", "~q", "K01", "K02"),
-    (6, "Re:B2", "~q", "H1001", "K01", "K01"),
-    (3, "B2", "H0001", "H1100", "K01", "K01"),
-    (3, "C1", "q", "~q", "H0002", "K01"),
-    (3, "C1", "q", "~q", "H0001", "K02"),
-    (12, "Re:C1", "~q", "H0001", "H1001", "K01"),
-    (3, "C1", "H0001", "H0001", "H1100", "K01"),
-    (3, "D", "q", "~q", "H0001", "H0002"),
-    (6, "Re:D", "~q", "H0001", "H0001", "H1001"),
-    (1, "D", "H0001", "H0001", "H0001", "H1100"),
-    (1, "B3", "q", "~q", "K01", "K01", "K01"),
-    (3, "C2", "q", "~q", "H0001", "K01", "K01"),
-    (3, "D1", "q", "~q", "H0001", "H0001", "K01"),
-    (1, "E", "q", "~q", "H0001", "H0001", "H0001"),
-)
-
-M2103 = (
-    (3, "A1", "H2102", "K01"),
-    (3, "A1", "H2101", "K02"),
-    (3, "B", "H0001", "H2102"),
-    (3, "B", "H0002", "H2101"),
-    (3, "B", "~H1001", "H2002"),
-    (3, "B", "~H1002", "H2001"),
-    (6, "B", "H1001", "H1102"),
-    (6, "B", "H1002", "H1101"),
-    (3, "A2", "H2101", "K01", "K01"),
-    (3, "A2", "H2100", "K01", "K02"),
-    (6, "B1", "q", "H1102", "K01"),
-    (6, "B1", "q", "H1101", "K02"),
-    (3, "B1", "~q", "H2002", "K01"),
-    (3, "B1", "~q", "H2001", "K02"),
-    (6, "B1", "H0001", "H2101", "K01"),
-    (3, "B1", "H0002", "H2100", "K01"),
-    (6, "B1", "~H1001", "H2001", "K01"),
-    (3, "B1", "~H1002", "H2000", "K01"),
-    (12, "B1", "H1001", "H1101", "K01"),
-    (6, "B1", "H1002", "H1100", "K01"),
-    (3, "B1", "H0001", "H2100", "K02"),
-    (3, "B1", "~H1001", "H2000", "K02"),
-    (6, "B1", "H1001", "H1100", "K02"),
-    (6, "C", "q", "H0001", "H1102"),
-    (6, "C", "q", "H0002", "H1101"),
-    (6, "C", "q", "~H1001", "H1002"),
-    (6, "C", "q", "~H1002", "H1001"),
-    (3, "C", "~q", "H0001", "H2002"),
-    (3, "C", "~q", "H0002", "H2001"),
-    (6, "C", "~q", "H1001", "H1002"),
-    (3, "C", "H0001", "H0001", "H2101"),
-    (3, "C", "H0001", "H0002", "H2100"),
-    (6, "C", "H0001", "~H1001", "H2001"),
-    (3, "C", "H0001", "~H1002", "H2000"),
-    (12, "C", "H0001", "H1001", "H1101"),
-    (6, "C", "H0001", "H1002", "H1100"),
-    (3, "C", "H0002", "~H1001", "H2000"),
-    (6, "C", "H0002", "H1001", "H1100"),
-    (6, "C", "~H1001", "H1001", "H1001"),
-    (1, "A3", "H2100", "K01", "K01", "K01"),
-    (6, "B2", "q", "H1101", "K01", "K01"),
-    (6, "B2", "q", "H1100", "K01", "K02"),
-    (3, "B2", "~q", "H2001", "K01", "K01"),
-    (3, "B2", "~q", "H2000", "K01", "K02"),
-    (3, "B2", "H0001", "H2100", "K01", "K01"),
-    (3, "B2", "~H1001", "H2000", "K01", "K01"),
-    (6, "B2", "H1001", "H1100", "K01", "K01"),
-    (3, "C1", "q", "q", "~H1002", "K01"),
-    (3, "C1", "q", "q", "~H1001", "K02"),
-    (6, "C1", "q", "~q", "H1002", "K01"),
-    (6, "C1", "q", "~q", "H1001", "K02"),
-    (12, "C1", "q", "H0001", "H1101", "K01"),
-    (6, "C1", "q", "H0002", "H1100", "K01"),
-    (12, "C1", "q", "~H1001", "H1001", "K01"),
-    (6, "C1", "q", "H0001", "H1100", "K02"),
-    (6, "C1", "~q", "H0001", "H2001", "K01"),
-    (3, "C1", "~q", "H0002", "H2000", "K01"),
-    (6, "C1", "~q", "H1001", "H1001", "K01"),
-    (3, "C1", "~q", "H0001", "H2000", "K02"),
-    (3, "C1", "H0001", "H0001", "H2100", "K01"),
-    (6, "C1", "H0001", "~H1001", "H2000", "K01"),
-    (12, "C1", "H0001", "H1001", "H1100", "K01"),
-    (3, "D", "q", "q", "H0001", "~H1002"),
-    (3, "D", "q", "q", "H0002", "~H1001"),
-    (6, "D", "q", "~q", "H0001", "H1002"),
-    (6, "D", "q", "~q", "H0002", "H1001"),
-    (6, "D", "q", "H0001", "H0001", "H1101"),
-    (6, "D", "q", "H0001", "H0002", "H1100"),
-    (12, "D", "q", "H0001", "~H1001", "H1001"),
-    (3, "D", "~q", "H0001", "H0001", "H2001"),
-    (3, "D", "~q", "H0001", "H0002", "H2000"),
-    (6, "D", "~q", "H0001", "H1001", "H1001"),
-    (1, "D", "H0001", "H0001", "H0001", "H2100"),
-    (3, "D", "H0001", "H0001", "~H1001", "H2000"),
-    (6, "D", "H0001", "H0001", "H1001", "H1100"),
-    (2, "B3", "q", "H1100", "K01", "K01", "K01"),
-    (1, "B3", "~q", "H2000", "K01", "K01", "K01"),
-    (3, "C2", "q", "q", "~q", "K01", "K02"),
-    (3, "C2", "q", "q", "~H1001", "K01", "K01"),
-    (6, "C2", "q", "~q", "H1001", "K01", "K01"),
-    (6, "C2", "q", "H0001", "H1100", "K01", "K01"),
-    (3, "C2", "~q", "H0001", "H2000", "K01", "K01"),
-    (3, "D1", "q", "q", "~q", "H0002", "K01"),
-    (3, "D1", "q", "q", "~q", "H0001", "K02"),
-    (6, "D1", "q", "q", "H0001", "~H1001", "K01"),
-    (12, "D1", "q", "~q", "H0001", "H1001", "K01"),
-    (6, "D1", "q", "H0001", "H0001", "H1100", "K01"),
-    (3, "D1", "~q", "H0001", "H0001", "H2000", "K01"),
-    (3, "E", "q", "q", "~q", "H0001", "H0002"),
-    (3, "E", "q", "q", "H0001", "H0001", "~H1001"),
-    (6, "E", "q", "~q", "H0001", "H0001", "H1001"),
-    (2, "E", "q", "H0001", "H0001", "H0001", "H1100"),
-    (1, "E", "~q", "H0001", "H0001", "H0001", "H2000"),
-    (1, "C3", "q", "q", "~q", "K01", "K01", "K01"),
-    (3, "E1", "q", "q", "~q", "H0001", "H0001", "K01"),
-    (1, "K6", "q", "q", "~q", "H0001", "H0001", "H0001"),
-)
-
-# --- parameter-dependent tail of the H table ---------------------------------
-
-H3010 = (
-    (1, "A1", "H3000", "K10"),
-    (3, "B", "q", "H2010"),
-    (1, "B", "H0010", "H3000"),
-    (3, "B", "H1010", "H2000"),
-    (3, "B1", "q", "H2000", "K10"),
-    (3, "C", "q", "q", "H1010"),
-    (3, "C", "q", "H0010", "H2000"),
-    (1, "C1", "q", "q", "q", "K10"),
-    (1, "D", "q", "q", "q", "H0010"),
-)
-
-H4001 = (
-    (1, "A1", "H4000", "K01"),
-    (4, "B", "q", "H3001"),
-    (1, "B", "H0001", "H4000"),
-    (4, "B", "H1001", "H3000"),
-    (6, "B", "H2000", "H2001"),
-    (4, "B1", "q", "H3000", "K01"),
-    (3, "B1", "H2000", "H2000", "K01"),
-    (6, "C", "q", "q", "H2001"),
-    (4, "C", "q", "H0001", "H3000"),
-    (12, "C", "q", "H1001", "H2000"),
-    (3, "C", "H0001", "H2000", "H2000"),
-    (6, "C1", "q", "q", "H2000", "K01"),
-    (4, "D", "q", "q", "q", "H1001"),
-    (6, "D", "q", "q", "H0001", "H2000"),
-    (1, "D1", "q", "q", "q", "q", "K01"),
-    (1, "E", "q", "q", "q", "q", "H0001"),
-)
-
-H5001 = (
-    (1, "A1", "H5000", "K01"),
-    (5, "B", "q", "H4001"),
-    (1, "B", "H0001", "H5000"),
-    (5, "B", "H1001", "H4000"),
-    (10, "B", "H2000", "H3001"),
-    (10, "B", "H2001", "H3000"),
-    (5, "B1", "q", "H4000", "K01"),
-    (10, "B1", "H2000", "H3000", "K01"),
-    (10, "C", "q", "q", "H3001"),
-    (5, "C", "q", "H0001", "H4000"),
-    (20, "C", "q", "H1001", "H3000"),
-    (30, "C", "q", "H2000", "H2001"),
-    (10, "C", "H0001", "H2000", "H3000"),
-    (15, "C", "H1001", "H2000", "H2000"),
-    (10, "C1", "q", "q", "H3000", "K01"),
-    (15, "C1", "q", "H2000", "H2000", "K01"),
-    (10, "D", "q", "q", "q", "H2001"),
-    (10, "D", "q", "q", "H0001", "H3000"),
-    (30, "D", "q", "q", "H1001", "H2000"),
-    (15, "D", "q", "H0001", "H2000", "H2000"),
-    (10, "D1", "q", "q", "q", "H2000", "K01"),
-    (5, "E", "q", "q", "q", "q", "H1001"),
-    (10, "E", "q", "q", "q", "H0001", "H2000"),
-    (1, "E1", "q", "q", "q", "q", "q", "K01"),
-    (1, "K6", "q", "q", "q", "q", "q", "H0001"),
-)
-
-H4101 = (
-    (1, "A1", "H4100", "K01"),
-    (4, "B", "q", "H3101"),
-    (1, "B", "~q", "H4001"),
-    (1, "B", "H0001", "H4100"),
-    (1, "B", "~H1001", "H4000"),
-    (4, "B", "H1001", "H3100"),
-    (4, "B", "H1100", "H3001"),
-    (4, "B", "H1101", "H3000"),
-    (6, "B", "H2000", "H2101"),
-    (6, "B", "H2001", "H2100"),
-    (4, "B1", "q", "H3100", "K01"),
-    (1, "B1", "~q", "H4000", "K01"),
-    (4, "B1", "H1100", "H3000", "K01"),
-    (6, "B1", "H2000", "H2100", "K01"),
-    (6, "C", "q", "q", "H2101"),
-    (4, "C", "q", "~q", "H3001"),
-    (4, "C", "q", "H0001", "H3100"),
-    (4, "C", "q", "~H1001", "H3000"),
-    (12, "C", "q", "H1001", "H2100"),
-    (12, "C", "q", "H1100", "H2001"),
-    (12, "C", "q", "H1101", "H2000"),
-    (1, "C", "~q", "H0001", "H4000"),
-    (4, "C", "~q", "H1001", "H3000"),
-    (6, "C", "~q", "H2000", "H2001"),
-    (4, "C", "H0001", "H1100", "H3000"),
-    (6, "C", "H0001", "H2000", "H2100"),
-    (3, "C", "~H1001", "H2000", "H2000"),
-    (12, "C", "H1001", "H1100", "H2000"),
-    (6, "C1", "q", "q", "H2100", "K01"),
-    (4, "C1", "q", "~q", "H3000", "K01"),
-    (12, "C1", "q", "H1100", "H2000", "K01"),
-    (3, "C1", "~q", "H2000", "H2000", "K01"),
-    (4, "D", "q", "q", "q", "H1101"),
-    (6, "D", "q", "q", "~q", "H2001"),
-    (6, "D", "q", "q", "H0001", "H2100"),
-    (6, "D", "q", "q", "~H1001", "H2000"),
-    (12, "D", "q", "q", "H1001", "H1100"),
-    (4, "D", "q", "~q", "H0001", "H3000"),
-    (12, "D", "q", "~q", "H1001", "H2000"),
-    (12, "D", "q", "H0001", "H1100", "H2000"),
-    (3, "D", "~q", "H0001", "H2000", "H2000"),
-    (4, "D1", "q", "q", "q", "H1100", "K01"),
-    (6, "D1", "q", "q", "~q", "H2000", "K01"),
-    (1, "E", "q", "q", "q", "q", "~H1001"),
-    (4, "E", "q", "q", "q", "~q", "H1001"),
-    (4, "E", "q", "q", "q", "H0001", "H1100"),
-    (6, "E", "q", "q", "~q", "H0001", "H2000"),
-    (1, "E1", "q", "q", "q", "q", "~q", "K01"),
-    (1, "K6", "q", "q", "q", "q", "~q", "H0001"),
-)
-
-H3002 = (
-    (2, "A1", "H3001", "K01"),
-    (1, "A1", "H3000", "K02"),
-    (3, "B", "q", "H2002"),
-    (2, "B", "H0001", "H3001"),
-    (1, "B", "H0002", "H3000"),
-    (6, "B", "H1001", "H2001"),
-    (3, "B", "H1002", "H2000"),
-    (1, "A2", "H3000", "K01", "K01"),
-    (6, "B1", "q", "H2001", "K01"),
-    (3, "B1", "q", "H2000", "K02"),
-    (2, "B1", "H0001", "H3000", "K01"),
-    (6, "B1", "H1001", "H2000", "K01"),
-    (3, "C", "q", "q", "H1002"),
-    (6, "C", "q", "H0001", "H2001"),
-    (3, "C", "q", "H0002", "H2000"),
-    (6, "C", "q", "H1001", "H1001"),
-    (1, "C", "H0001", "H0001", "H3000"),
-    (6, "C", "H0001", "H1001", "H2000"),
-    (3, "B2", "q", "H2000", "K01", "K01"),
-    (1, "C1", "q", "q", "q", "K02"),
-    (6, "C1", "q", "q", "H1001", "K01"),
-    (6, "C1", "q", "H0001", "H2000", "K01"),
-    (1, "D", "q", "q", "q", "H0002"),
-    (6, "D", "q", "q", "H0001", "H1001"),
-    (3, "D", "q", "H0001", "H0001", "H2000"),
-    (1, "C2", "q", "q", "q", "K01", "K01"),
-    (2, "D1", "q", "q", "q", "H0001", "K01"),
-    (1, "E", "q", "q", "q", "H0001", "H0001"),
-)
-
-# per-mu M tables for the parameter stages, keyed by the beta multi-index
-STAGE_M: dict[str, dict[str, tuple]] = {
-    "10": {},
-    "01": {},
-    "02": dict(M00=M0002, M10=M1002, M20=M2002, M11=M1102, M21=M2102),
-    "11": dict(M00=M0011, M10=M1011, M20=M2011, M11=M1111, M21=M2111),
-    "03": dict(M00=M0003, M10=M1003, M20=M2003, M11=M1103, M21=M2103),
-}
-
-
-def explicit_stage_terms(mu: str) -> dict[str, tuple]:
-    """Multilinear terms written out explicitly in the per-mu equations."""
-    K = "K" + mu
-    H00, H10, H11, H20 = (f"H{nm}{mu}" for nm in ("00", "10", "11", "20"))
-    return dict(
-        H10=(
-            (1, "A1", "q", K),
-            (1, "B", "q", H00),
-        ),
-        H20=(
-            (1, "A1", "H2000", K),
-            (2, "B", "q", H10),
-            (1, "B", H00, "H2000"),
-            (1, "B1", "q", "q", K),
-            (1, "C", "q", "q", H00),
-        ),
-        H11=(
-            (1, "A1", "H1100", K),
-            (2, "Re:B", "~q", H10),
-            (1, "B", H00, "H1100"),
-            (1, "B1", "q", "~q", K),
-            (1, "C", "q", "~q", H00),
-        ),
-        H21=(
-            (1, "A1", "H2100", K),
-            (2, "B", "q", H11),
-            (1, "B", "~q", H20),
-            (1, "B", H00, "H2100"),
-            (1, "B", "~" + H10, "H2000"),
-            (2, "B", H10, "H1100"),
-            (2, "B1", "q", "H1100", K),
-            (1, "B1", "~q", "H2000", K),
-            (1, "C", "q", "q", "~" + H10),
-            (2, "C", "q", "~q", H10),
-            (2, "C", "q", H00, "H1100"),
-            (1, "C", "~q", H00, "H2000"),
-            (1, "C1", "q", "q", "~q", K),
-            (1, "D", "q", "q", "~q", H00),
-        ),
+def _stage(k: int, l: int) -> tuple:
+    """One parameter stage: K_kl, then H_{nmkl} for nm = 00, 10, 20, 11, 21."""
+    return ((k, l),) + tuple(
+        (n, m, k, l) for n, m in ((0, 0), (1, 0), (2, 0), (1, 1), (2, 1))
     )
+
+
+# Every equation in the order it is assembled.  A pair (k, l) is the
+# parameter map K_kl, a 4-tuple an H coefficient.  The w^2 wbar equations of
+# stages 11 and 03 only fix the normal form; their H is never solved.
+SCHEDULE = (
+    (1, 0, 0, 0),
+    *((n, m, 0, 0) for n, m in CRITICAL),
+    *_stage(1, 0),
+    *_stage(0, 1),
+    (3, 0, 0, 1), (3, 1, 0, 1), (2, 2, 0, 1), (3, 2, 0, 1),
+    *_stage(0, 2),
+    *_stage(1, 1),
+    *_stage(0, 3),
+    (3, 0, 1, 0), (4, 0, 0, 1), (5, 0, 0, 1), (4, 1, 0, 1), (3, 0, 0, 2),
+)
+
+
+def _fact(idx) -> int:
+    return math.prod(math.factorial(i) for i in idx)
+
+
+# An index is packed four bits per entry (no entry exceeds 7), so that a - b
+# is the packed entrywise difference, and b fits into a (b <= a entrywise)
+# exactly when subtracting b from a with every entry's bit 3 set clears none
+# of those bits.
+_GUARD = 0x8888
+
+
+def _code(idx) -> int:
+    return idx[0] << 12 | idx[1] << 8 | idx[2] << 4 | idx[3]
+
+
+def _fits(b: int, a: int) -> bool:
+    return (a | _GUARD) - b & _GUARD == _GUARD
+
+
+@functools.cache
+def _factors() -> tuple:
+    """(schedule position, packed index, key, is a parameter map, index!)."""
+    out = []
+    for pos, idx in enumerate(SCHEDULE):
+        if len(idx) == 2:
+            out.append((pos, _code((0, 0) + idx), "K%d%d" % idx, True, _fact(idx)))
+            continue
+        key = "q" if idx == (1, 0, 0, 0) else "H%d%d%d%d" % idx
+        out.append((pos, _code(idx), key, False, _fact(idx)))
+        if idx[0] != idx[1]:
+            conj = (idx[1], idx[0]) + idx[2:]
+            out.append((pos, _code(conj), "~" + key, False, _fact(idx)))
+    return tuple(out)
+
+
+@functools.cache
+def rhs_terms(target: tuple[int, int, int, int]) -> tuple:
+    """Multilinear part of the right-hand side of the `target` equation.
+
+    Only forms named in FORM_ORDERS are generated; the one multiset this
+    drops, 3 * D^{4,2}F[q, q, ~q, H0001; K01, K01] at (2, 1, 0, 3), is a
+    known omission (it changes K03 and b2 of stage 03).
+    """
+    pos = SCHEDULE.index(target)
+    code = _code(target)
+    fitting = [f for f in _factors() if _fits(f[1], code)]
+    if any(f[0] > pos for f in fitting):
+        raise ValueError(f"{target} is scheduled before one of its factors")
+    out = []
+
+    def walk(fitting, rest, chosen, denom, run):
+        # `fitting`: the factors, from the last chosen one on, that fit `rest`;
+        # `denom`: prod multiplicity! * prod index! of `chosen`, whose last
+        # factor has been chosen `run` times
+        if not rest:
+            state = [f[2] for f in chosen if not f[3]]
+            params = [f[2] for f in chosen if f[3]]
+            name = FORM_NAMES.get((len(state), len(params)))
+            if name is not None:
+                out.append((_fact(target) // denom, name, *state, *params))
+            return
+        for j, f in enumerate(fitting):
+            left = rest - f[1]
+            again = run + 1 if chosen and chosen[-1] is f else 1
+            walk([g for g in fitting[j:] if _fits(g[1], left)], left,
+                 chosen + (f,), denom * f[4] * again, again)
+
+    walk([f for f in fitting if f[0] < pos], code, (), 1, 0)
+    return tuple(out)
 
 
 # --- required coefficient index sets -----------------------------------------
@@ -1146,5 +182,3 @@ def required_h_indices() -> set[tuple[int, int, int, int]]:
 
 
 GREY_HELPERS = {(1, 1, 0, 3), (2, 0, 0, 3)}
-
-K_INDICES = ("10", "01", "02", "11", "03")

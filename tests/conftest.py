@@ -49,6 +49,11 @@ def l84_pack():
 
 
 @pytest.fixture(scope="session")
+def l84_pack_exact():
+    return _ode_pack("lorenz84", "exact")
+
+
+@pytest.fixture(scope="session")
 def fhn_pack():
     bm = builtin("fhn-dde")
     gh = refine_gh_dde(bm.model, bm.alpha_guess, bm.omega_guess,

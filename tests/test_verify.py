@@ -159,7 +159,7 @@ def test_homological_sweeps_bk(bk_pack):
 
 def test_homological_mixed_scaled_sweep(bk_pack):
     # along the LPC scaling w ~ eps, beta2 ~ eps^2, beta1 ~ eps^4 every
-    # computed coefficient participates; any table transcription error kills
+    # computed coefficient participates; any missing or wrong term kills
     # the eighth-order residual decay
     es = np.geomspace(2e-2, 2e-1, 10)
     res = np.array([
